@@ -243,9 +243,10 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
     if at_x is not None:
         click.echo(_format_scalar(vals[0]))
     else:
-        click.echo("x,re,im")
-        for x, v in zip(xs, vals):
-            click.echo(f"{x:.12g},{complex(v).real:.12g},{complex(v).imag:.12g}")
+        vals = np.asarray(vals, dtype=complex)
+        rows = (f"{x:.12g},{re:.12g},{im:.12g}"
+                for x, re, im in zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist()))
+        click.echo("\n".join(["x,re,im", *rows]))
 
 
 @main.command("symbol")

@@ -249,7 +249,11 @@ class FunctionSpec:
         return True
 
     def truncation_length(self, x: float) -> float:
-        """Base-point offset L so the tail below ``x - L`` is negligible."""
+        """Base-point offset L so the tail below ``x - L`` is negligible.
+
+        Nondecreasing in ``x``, so the largest point of a batch sets the
+        cut for all of it.
+        """
         k, p = self.kind, self.params
         if k in ("step", "bump"):
             lo = self.support[0]
@@ -464,6 +468,7 @@ class SampledCurve:
         return 0
 
     def truncation_length(self, x: float) -> float:
+        """Distance back to the first sample; nondecreasing in ``x``."""
         return max(x - self.x0, 0.0)
 
 
@@ -513,6 +518,7 @@ class CallableFn:
         return _SMOOTH
 
     def truncation_length(self, x: float) -> float:
+        """The explicit truncation length, the same for every ``x``."""
         if self.truncation is None:
             raise ValueError("callable input needs an explicit truncation length for c = -inf")
         return self.truncation

@@ -6,14 +6,18 @@ accepted wire schema is part of the contract, so drift breaks here.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fracpde
 from fracpde.cli import main, run_cli
-from fracpde.functions import step
+from fracpde.fracops import fourier_differint
+from fracpde.functions import SampledCurve, gaussian, step
 from fracpde.sobolev import estimate_regularity
 from fracpde.spectral import BoxGrid, sample_field, solve_elliptic
 from fracpde.symbols import FracSymbol
@@ -61,6 +65,19 @@ class TestDifferint:
         assert len(lines) == 65
         x, re, im = map(float, lines[40].split(","))
         assert math.isfinite(re) and abs(im) < 1e-10
+
+    def test_grid_csv_matches_row_by_row_formatting(self, runner):
+        args = ["-m", "64", "-L", "20", "differint", "--func", "gaussian", "--nu", "0.5",
+                "--c", "-inf", "--method", "fourier", "--grid"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        grid = BoxGrid(1, 64, 20.0)
+        xs = grid.axis()
+        curve = SampledCurve(float(xs[0]), float(xs[1] - xs[0]), gaussian(0.0, 1.0).value(xs))
+        vals = fourier_differint(curve, 0.5).values
+        want = "x,re,im\n" + "".join(
+            f"{x:.12g},{complex(v).real:.12g},{complex(v).imag:.12g}\n" for x, v in zip(xs, vals))
+        assert result.output == want
 
     def test_fourier_agrees_with_quadrature_on_a_grid_point(self, runner):
         # x = 2.5 lies exactly on the 4096-point axis of [-20, 20), so the
@@ -225,9 +242,12 @@ class TestExperimentCommand:
 
 class TestTopLevel:
     def test_module_entry_point(self):
+        # The child interpreter finds the package where this process did.
+        src = str(Path(fracpde.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fracpde", "--help"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "Usage" in proc.stdout

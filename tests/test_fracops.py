@@ -28,6 +28,7 @@ from fracpde import (
     QuadratureConfig,
     SampledCurve,
     WrongSign,
+    bump,
     caputo_derivative,
     closed_form_oracle,
     differint,
@@ -42,6 +43,7 @@ from fracpde import (
     rl_integral,
     step,
 )
+from fracpde import fracops
 
 MINUS_INF = float("-inf")
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # 1.1283791670955126
@@ -356,3 +358,122 @@ def test_quadrature_is_linear(nu, lam):
     lhs = differint(combo, order, 1.5, FAST)
     rhs = lam * differint(f, order, 1.5, FAST) + differint(g, order, 1.5, FAST)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+# -- row blocks, real arithmetic, and the support split ---------------------------
+
+GRID_4096 = -20.0 + (40.0 / 4096) * np.arange(4096)
+
+
+# One case per node-matrix site, plus the stencil path of an input without
+# closed-form derivatives.
+WIDE, NEAR, HIGH = np.linspace(-4, 4, 97), np.linspace(-2.5, 3, 97), np.linspace(1.2, 4, 97)
+BLOCK_SITES = {
+    "integral-moving-base": (gaussian(0.3, 1.2), DifferintOrder(-0.7, MINUS_INF), WIDE),
+    "integral-at-top": (gaussian(0.3, 1.2), DifferintOrder(-0.6, -3.0), NEAR),
+    "integral-below": (bump(0.0, 1.0), DifferintOrder(-0.6, MINUS_INF), NEAR),
+    "derivative-moving-base": (gaussian(0.3, 1.2), DifferintOrder(0.6, MINUS_INF), WIDE),
+    "derivative-above-support": (bump(0.0, 1.0), DifferintOrder(0.45, MINUS_INF), HIGH),
+    "derivative-moment": (gaussian(0.3, 1.2), DifferintOrder(1.3, -3.0), NEAR),
+    "stencil": (CallableFn(lambda y: np.exp(-0.5 * y * y), truncation=12.0),
+                DifferintOrder(0.6, MINUS_INF), WIDE),
+}
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("site", sorted(BLOCK_SITES))
+    def test_block_size_does_not_change_results(self, site, monkeypatch):
+        f, order, xs = BLOCK_SITES[site]
+        whole = differint(f, order, xs, FAST)
+        monkeypatch.setattr(fracops, "_BLOCK_BYTES", 3 * 16 * 513)  # three rows of the FAST mesh
+        blocked = differint(f, order, xs, FAST)
+        assert np.max(np.abs(blocked - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_blocks_bound_the_node_matrix(self):
+        matrices = []
+
+        def value(y):
+            y = np.asarray(y)
+            if y.ndim == 2:
+                matrices.append(y.size)
+            return np.exp(-0.5 * y * y)
+
+        f = CallableFn(value, truncation=12.0)
+        rl_integral(f, DifferintOrder(-0.5, MINUS_INF), GRID_4096)
+        assert len(matrices) > 1
+        assert 16 * max(matrices) <= fracops._BLOCK_BYTES
+
+    def test_nonfinite_in_last_block_raises(self, monkeypatch):
+        # Only points above 2.9 reach the bad values, and they come last.
+        f = CallableFn(lambda y: np.where(y > 2.9, np.nan, np.exp(-y * y)), truncation=10.0)
+        order = DifferintOrder(-0.5, MINUS_INF)
+        monkeypatch.setattr(fracops, "_BLOCK_BYTES", 3 * 16 * 513)
+        xs = np.linspace(-3.0, 3.0, 61)
+        assert np.all(np.isfinite(rl_integral(f, order, xs[xs < 2.9], FAST)))
+        with pytest.raises(NotSmoothEnough):
+            rl_integral(f, order, xs, FAST)
+
+
+class TestRealArithmetic:
+    def test_real_order_gives_real_weights(self):
+        tau, w = fracops._unit_weights(64, 2.0, 0.5 + 0j)
+        assert w.dtype == np.float64
+        assert fracops._node_weights(np.outer([1.0, 2.0], tau), 0.5).dtype == np.float64
+        assert fracops._unit_weights(64, 2.0, 0.5 + 0.2j)[1].dtype == np.complex128
+
+    def test_complex_input_keeps_its_imaginary_part(self):
+        # D^nu of i*y from base 0 is i * Gamma(2)/Gamma(2-nu) * x^(1-nu).
+        xs = np.array([0.5, 1.25, 2.0])
+        for nu in (-0.5, 0.5):
+            order = DifferintOrder(nu, 0.0)
+            got = differint(polynomial([0, 1j]), order, xs)
+            want = 1j * closed_form_oracle(power(1), order, xs)
+            assert np.allclose(got, want, rtol=2e-6, atol=1e-12)
+            assert np.min(np.abs(got.imag)) > 0.1
+
+    def test_complex_order_keeps_the_complex_path(self):
+        order = DifferintOrder(-0.5 + 0.3j, 0.0)
+        got = rl_integral(power(1), order, np.array([0.5, 1.25]))
+        want = closed_form_oracle(power(1), order, np.array([0.5, 1.25]))
+        assert np.allclose(got, want, rtol=2e-6)
+        assert np.min(np.abs(got.imag)) > 1e-3
+
+
+class TestMixedSupport:
+    @pytest.mark.parametrize("nu", [0.45, 1.1])
+    def test_batch_equals_its_halves(self, nu):
+        f, order = bump(0.2, 2.0), DifferintOrder(nu, MINUS_INF)
+        whole = rl_derivative(f, order, GRID_4096)
+        above = GRID_4096 > 2.2
+        inside = rl_derivative(f, order, GRID_4096[~above])
+        outside = rl_derivative(f, order, GRID_4096[above])
+        peak = np.max(np.abs(whole))
+        assert np.max(np.abs(whole[~above] - inside)) <= 1e-13 * peak
+        assert np.max(np.abs(whole[above] - outside)) <= 1e-13 * peak
+
+    @pytest.mark.parametrize("nu", [0.45, 1.1])
+    def test_batch_matches_the_padded_multiplier(self, nu):
+        f = bump(0.2, 2.0)
+        got = rl_derivative(f, DifferintOrder(nu, MINUS_INF), GRID_4096)
+        curve = SampledCurve(float(GRID_4096[0]), 40.0 / 4096, f.value(GRID_4096))
+        want = fourier_differint(curve, nu, pad_factor=1024).values
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+class TestCaches:
+    def test_weight_cache_is_bounded(self):
+        for k in range(3 * fracops._CACHE_ENTRIES):
+            fracops._unit_weights(64, 2.0, 0.1 + 0.01 * k)
+        assert fracops._mesh_weights.cache_info().currsize == fracops._CACHE_ENTRIES
+
+    def test_mesh_cache_is_bounded(self):
+        for k in range(3 * fracops._CACHE_ENTRIES):
+            fracops._graded_mesh(64 + 2 * k, 2.0)
+        assert fracops._graded_mesh.cache_info().currsize == fracops._CACHE_ENTRIES
+
+    def test_cached_arrays_are_read_only(self):
+        tau, w = fracops._unit_weights(64, 2.0, 0.5)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            tau[0] = 1.0

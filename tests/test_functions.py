@@ -118,6 +118,18 @@ class TestMetadata:
         assert gaussian(0, 1).truncation_length(5.0) >= 14.0
         with pytest.raises(ValueError):
             power(1).truncation_length(0.0)
+        with pytest.raises(ValueError):
+            polynomial([1.0, 2.0]).truncation_length(0.0)
+
+    @pytest.mark.parametrize("f", [
+        exponential(0.7), gaussian(1.0, 1.5), step(-1.0, 2.0), bump(0.5, 2.0),
+        SampledCurve(-3.0, 0.5, np.ones(13)), CallableFn(np.tanh, truncation=8.0),
+    ], ids=["exponential", "gaussian", "step", "bump", "sampled", "callable"])
+    def test_truncation_length_is_nondecreasing(self, f):
+        # The engines take one batch's tail cut from its largest point.
+        xs = np.linspace(-30.0, 30.0, 601)
+        cuts = np.array([f.truncation_length(float(x)) for x in xs])
+        assert np.all(np.diff(cuts) >= 0)
 
 
 class TestValidation:
