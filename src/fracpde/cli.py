@@ -32,7 +32,7 @@ from .fracops import (
 )
 from .functions import FunctionSpec, SampledCurve, catalog_lookup
 from .sobolev import estimate_regularity, sobolev_norm
-from .spectral import BoxGrid, load_field, sample_field, save_field, solve_elliptic, transform
+from .spectral import BoxGrid, load_field, sample_separable, save_field, solve_elliptic
 from .symbols import FracSymbol, check_ellipticity, estimate_bounds, order_and_gap, principal_symbol
 from .verify import (
     VerifyConfig,
@@ -60,12 +60,10 @@ class RunConfig:
     seed: int = 1693
 
     def validate(self) -> None:
-        if self.grid_m < 16 or self.grid_m % 2:
-            raise click.UsageError("grid size must be an even integer >= 16")
-        if not self.grid_length > 0:
-            raise click.UsageError("grid length must be positive")
-        if self.grid_dim not in (1, 2, 3):
-            raise click.UsageError("grid dimension must be 1, 2, or 3")
+        try:
+            self.box()
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
         if self.subintervals < 16:
             raise click.UsageError("quadrature needs at least 16 subintervals")
         if self.grading < 1.0:
@@ -140,12 +138,6 @@ def _format_scalar(z: complex) -> str:
     if abs(z.imag) <= 1e-13 * max(1.0, abs(z.real)):
         return f"{z.real:.15g}"
     return f"{z.real:.15g}{z.imag:+.15g}j"
-
-
-def _sample_separable(grid: BoxGrid, spec: FunctionSpec):
-    if grid.dim == 1:
-        return sample_field(grid, spec.value)
-    return sample_field(grid, lambda *axes: np.prod([spec.value(ax) for ax in axes], axis=0))
 
 
 def _ensure_outdir(cfg: RunConfig) -> Path:
@@ -296,22 +288,17 @@ def solve_command(cfg: RunConfig, op, forcing, output):
             f"operator dimension {sym.dim} needs -n {sym.dim} (and a grid size to match)"
         )
     grid = cfg.box(sym.dim)
-    f = _sample_separable(grid, _parse_func(forcing))
-    res = solve_elliptic(sym, f, cfg.cutoff_radius)
+    res = solve_elliptic(sym, sample_separable(grid, _parse_func(forcing).value), cfg.cutoff_radius)
     path = _ensure_outdir(cfg) / output
     save_field(res.u, path)
 
-    radius = res.parametrix.radius
-    rho = grid.frequency_radii()
-    f_hat_sup = float(np.max(np.abs(transform(f).values)))
-    outside = rho > radius + 1.0
-    residual_sup = float(np.max(np.abs(res.residual_spectrum.values[outside]))) if outside.any() else 0.0
+    f_hat_sup, residual_sup, confined = res.confinement()
     click.echo(json.dumps({
         "field_file": str(path),
-        "cutoff_radius": radius,
+        "cutoff_radius": res.parametrix.radius,
         "f_hat_sup": f_hat_sup,
         "residual_sup_outside": residual_sup,
-        "confined": residual_sup <= 1e-12 * f_hat_sup,
+        "confined": confined,
         "grid": {"dim": grid.dim, "m": grid.m, "length": grid.length},
     }, indent=2))
 
@@ -330,8 +317,8 @@ def sobolev_command(cfg: RunConfig, field_file, func, s_order, min_radius, bands
     """Sobolev norm or regularity estimate of a field or catalog function."""
     if (field_file is None) == (func is None):
         raise click.UsageError("pass exactly one of --field and --func")
-    u = load_field(field_file) if field_file is not None else _sample_separable(
-        cfg.box(), _parse_func(func))
+    u = load_field(field_file) if field_file is not None else sample_separable(
+        cfg.box(), _parse_func(func).value)
     if s_order is not None:
         click.echo(_format_scalar(sobolev_norm(u, s_order)))
         return

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import TooFewBands, UnreliableFitWarning
 from .fileio import atomic_write_text
 from .functions import bump
-from .spectral import BoxGrid, Field, SpectralField, transform
+from .spectral import BoxGrid, Field, SpectralField, sample_separable, transform
 
 __all__ = [
     "ShellSpectrum",
@@ -161,13 +161,7 @@ class RegularityEstimate:
 
 def _window_values(grid: BoxGrid) -> np.ndarray:
     w = bump(0.0, _WINDOW_RADIUS_FRAC * grid.length)
-    if grid.dim == 1:
-        return np.asarray(w.value(grid.axis()))
-    axes = np.meshgrid(*([grid.axis()] * grid.dim), indexing="ij")
-    out = np.ones(grid.shape(), dtype=complex)
-    for ax in axes:
-        out = out * w.value(ax)
-    return out
+    return sample_separable(grid, w.value).values
 
 
 def windowed_shells(u: Field, bands_per_octave: int = 3) -> ShellSpectrum:

@@ -14,8 +14,14 @@ frequency cutoff ``chi``: with ``E_hat = (1 - chi)/P`` the exact identity
 ``P * E_hat + chi = 1`` holds on the grid, so the candidate solution
 ``u = IFT(E_hat * f_hat)`` satisfies ``P(D) u = f + omega * f`` where
 ``omega = IFT(-chi)`` is a smoothing remainder confined to low frequencies.
-Nothing is truncated silently: the residual and its spectrum are returned
-with the solution.
+Nothing is truncated silently: :class:`SolveResult` carries the forcing
+spectrum ``f_hat`` and the residual spectrum with the solution, and computes
+the residual field from that spectrum only when it is read.
+
+Symbols, radii and separable samples are built from 1-D axis factors: every
+symbol term is ``c * prod(lambda_i^alpha_i)``, a separable function is
+``prod(g(x_i))`` and radii depend only on ``sum(lambda_i^2)``, so no
+``(m, ..., m, dim)`` coordinate array is formed on the solver path.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import numpy as np
 
 from .errors import CutoffExceedsNyquist, DimensionMismatch, EdgeLeakageWarning, NoRFound
 from .fileio import atomic_write_bytes, atomic_write_text
-from .symbols import FracSymbol, estimate_bounds, require_elliptic, symbol_eval
+from .symbols import FracSymbol, branch_power, estimate_bounds, require_elliptic
+from .symbols import symbol_eval  # noqa: F401  (still importable from this module)
 
 __all__ = [
     "BoxGrid",
@@ -46,6 +53,7 @@ __all__ = [
     "SolveResult",
     "solve_elliptic",
     "sample_field",
+    "sample_separable",
     "save_field",
     "load_field",
     "export_slice",
@@ -112,9 +120,22 @@ class BoxGrid:
         axes = np.meshgrid(*([self.frequencies()] * self.dim), indexing="ij")
         return np.stack(axes, axis=-1)
 
+    def axis_frequencies(self) -> list[np.ndarray]:
+        """The frequencies along each axis, shaped to broadcast against the grid."""
+        return [_along(self.frequencies(), ax, self.dim) for ax in range(self.dim)]
+
     def frequency_radii(self) -> np.ndarray:
-        lam = self.frequency_grid()
-        return np.sqrt(np.sum(lam * lam, axis=-1))
+        total = 0.0
+        for lam in self.axis_frequencies():
+            total = total + lam * lam
+        return np.sqrt(total, out=total)
+
+
+def _along(vec: np.ndarray, ax: int, dim: int) -> np.ndarray:
+    """View of a length-m vector that runs along axis ``ax`` of a ``dim``-d grid."""
+    shape = [1] * dim
+    shape[ax] = vec.size
+    return vec.reshape(shape)
 
 
 def _as_grid_values(grid: BoxGrid, values) -> np.ndarray:
@@ -167,6 +188,19 @@ def sample_field(grid: BoxGrid, fn) -> Field:
     return Field(grid, np.asarray(vals, dtype=complex))
 
 
+def sample_separable(grid: BoxGrid, fn) -> Field:
+    """Sample the separable product ``fn(x_1) * ... * fn(x_n)`` on the grid.
+
+    ``fn`` is evaluated once, on the 1-D axis; the product is formed by
+    broadcasting in axis order, so it equals ``np.prod`` over a meshgrid.
+    """
+    vals = np.asarray(fn(grid.axis()))
+    out = _along(vals, 0, grid.dim)
+    for ax in range(1, grid.dim):
+        out = out * _along(vals, ax, grid.dim)
+    return Field(grid, out)
+
+
 def _warn_on_edges(field: Field) -> None:
     peak = np.abs(field.values).max()
     if peak > 0 and field.edge_peak() > _EDGE_TOL * peak:
@@ -181,31 +215,43 @@ def transform(field: Field) -> SpectralField:
     """Forward transform, calibrated to ``int u exp(i lambda x) dx``."""
     g = field.grid
     _warn_on_edges(field)
-    spec = np.fft.ifftn(field.values) * g.length**g.dim
+    spec = np.fft.ifftn(field.values)
+    spec *= g.length**g.dim
     phase = np.exp(1j * g.frequencies() * g.x0)
     for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = g.m
-        spec = spec * phase.reshape(shape)
+        spec *= _along(phase, ax, g.dim)
     return SpectralField(g, spec)
 
 
 def inverse(spectral: SpectralField) -> Field:
     """Inverse transform; exact round trip with :func:`transform`."""
     g = spectral.grid
-    vals = spectral.values
     phase = np.exp(-1j * g.frequencies() * g.x0)
-    for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = g.m
-        vals = vals * phase.reshape(shape)
-    return Field(g, np.fft.fftn(vals) / g.length**g.dim)
+    vals = spectral.values * _along(phase, 0, g.dim)
+    for ax in range(1, g.dim):
+        vals *= _along(phase, ax, g.dim)
+    vals = np.fft.fftn(vals)
+    vals /= g.length**g.dim
+    return Field(g, vals)
 
 
 def _symbol_on_grid(sym: FracSymbol, grid: BoxGrid) -> np.ndarray:
+    """``symbol_eval`` on the frequency grid, built from per-axis factors.
+
+    Each term multiplies the axis powers onto its coefficient in axis order
+    and operand order, as ``symbol_eval`` does, so the values agree bit for
+    bit.
+    """
     if sym.dim != grid.dim:
         raise DimensionMismatch(f"symbol dimension {sym.dim} on a {grid.dim}-d grid")
-    return symbol_eval(sym, grid.frequency_grid())
+    out = np.zeros(grid.shape(), dtype=complex)
+    for t in sym.terms:
+        piece = t.coefficient
+        for lam, a in zip(grid.axis_frequencies(), t.alpha):
+            if a != 0:
+                piece = branch_power(lam, a) * piece
+        out += piece
+    return out
 
 
 def apply_operator(sym: FracSymbol, f):
@@ -297,8 +343,9 @@ def build_parametrix(sym: FracSymbol, grid: BoxGrid, radius: float | None = None
     p_vals = _symbol_on_grid(sym, grid)
     live = chi.values.real < 1.0
     e_vals = np.zeros(grid.shape(), dtype=complex)
+    np.subtract(1.0, chi.values, out=e_vals, where=live)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_vals[live] = (1.0 - chi.values[live]) / p_vals[live]
+        np.divide(e_vals, p_vals, out=e_vals, where=live)
     if not np.all(np.isfinite(e_vals)):
         raise NoRFound(
             f"symbol vanishes outside the cutoff radius {radius:g}; "
@@ -309,12 +356,32 @@ def build_parametrix(sym: FracSymbol, grid: BoxGrid, radius: float | None = None
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution with its low-frequency defect; ``P(D) u = f + residual``."""
+    """Solution with its low-frequency defect; ``P(D) u = f + residual``.
+
+    ``f_hat`` is the forcing spectrum the solve used; the residual field is
+    inverse-transformed from ``residual_spectrum`` each time it is read.
+    """
 
     u: Field
-    residual: Field
     residual_spectrum: SpectralField
     parametrix: Parametrix
+    f_hat: SpectralField
+
+    @property
+    def residual(self) -> Field:
+        return inverse(self.residual_spectrum)
+
+    def confinement(self) -> tuple[float, float, bool]:
+        """``(f_hat_sup, residual_sup_outside, confined)`` beyond the cutoff support.
+
+        ``residual_sup_outside`` is the largest residual coefficient at
+        ``|lambda| > radius + 1`` (0 if the grid has none there), and the
+        residual is confined when that is at most ``1e-12 * f_hat_sup``.
+        """
+        outside = self.u.grid.frequency_radii() > self.parametrix.radius + 1.0
+        f_hat_sup = float(np.max(np.abs(self.f_hat.values)))
+        residual_sup = float(np.max(np.abs(self.residual_spectrum.values), where=outside, initial=0.0))
+        return f_hat_sup, residual_sup, residual_sup <= 1e-12 * f_hat_sup
 
 
 def solve_elliptic(sym: FracSymbol, forcing: Field, radius: float | None = None) -> SolveResult:
@@ -325,9 +392,9 @@ def solve_elliptic(sym: FracSymbol, forcing: Field, radius: float | None = None)
     """
     par = build_parametrix(sym, forcing.grid, radius)
     f_hat = transform(forcing)
-    u_hat = SpectralField(forcing.grid, par.e_hat.values * f_hat.values)
+    u = inverse(SpectralField(forcing.grid, par.e_hat.values * f_hat.values))
     r_hat = SpectralField(forcing.grid, -par.chi.values * f_hat.values)
-    return SolveResult(inverse(u_hat), inverse(r_hat), r_hat, par)
+    return SolveResult(u, r_hat, par, f_hat)
 
 
 # -- field files -----------------------------------------------------------------

@@ -186,7 +186,11 @@ def symbol_eval(sym: FracSymbol, lam) -> np.ndarray:
         piece = np.full(lam.shape[:-1], t.coefficient, dtype=complex)
         for i, a in enumerate(t.alpha):
             if a != 0:
-                piece = piece * branch_power(lam[..., i], a)
+                # Power first: with fused multiply-add a complex product
+                # depends on operand order in the last bit, and numpy may
+                # swap the operands of a large temporary product.  Writing
+                # the temporary first fixes the order at every array size.
+                piece = branch_power(lam[..., i], a) * piece
         out += piece
     return out
 

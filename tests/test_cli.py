@@ -160,6 +160,24 @@ class TestSolveAndSobolev:
         expected = estimate_regularity(res.u, bands_per_octave=3, min_radius=10.0)
         assert est_cli.output.strip() == expected.to_json()
 
+    def test_solve_json_is_pinned(self, runner, tmp_path):
+        op = ('{"dim": 2, "terms": [{"c": [1.0, 0.5], "alpha": [1.5, 0.0]},'
+              ' {"c": [1.0, 0.0], "alpha": [0.0, 1.5]}, {"c": [0.25, 0.0], "alpha": [0.0, 0.0]}]}')
+        result = runner.invoke(
+            main, ["-n", "2", "-m", "64", "-L", "20", "--outdir", str(tmp_path), "solve",
+                   "--op", op, "--forcing", '{"kind": "bump", "center": 0.25, "radius": 2.0}',
+                   "--output", "v.field"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc.pop("field_file") == str(tmp_path / "v.field")
+        assert doc == {
+            "cutoff_radius": 1.0,
+            "f_hat_sup": 5.827525615791913,
+            "residual_sup_outside": 0.0,
+            "confined": True,
+            "grid": {"dim": 2, "m": 64, "length": 20.0},
+        }
+
     def test_sobolev_norm_of_catalog_function(self, runner):
         result = runner.invoke(
             main, ["-m", "256", "-L", "20", "sobolev", "--func", "gaussian", "--s", "0"])
@@ -255,6 +273,21 @@ class TestTopLevel:
     def test_bad_grid_size_is_usage_error(self, runner):
         result = runner.invoke(main, ["-m", "17", "verify"])
         assert result.exit_code == 2
+
+    def test_grid_size_not_a_power_of_two_is_usage_error(self, runner):
+        result = runner.invoke(main, ["-m", "48", "sobolev", "--func", "step"])
+        assert result.exit_code == 2
+        assert "power of two" in result.output
+
+    def test_import_leaves_scipy_signal_out(self):
+        src = str(Path(fracpde.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fracpde.cli; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_bad_dimension_is_usage_error(self, runner):
         result = runner.invoke(main, ["-n", "4", "verify"])

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracpde import TooFewBands, UnreliableFitWarning, gaussian, step
+from fracpde import TooFewBands, UnreliableFitWarning, bump, gaussian, step
 from fracpde.sobolev import (
+    _WINDOW_RADIUS_FRAC,
     RegularityEstimate,
+    _window_values,
     estimate_regularity,
     export_shell_csv,
     shell_spectrum,
@@ -175,3 +177,21 @@ class TestEstimate:
     def test_band_count_property(self):
         est = RegularityEstimate(2.0, 0.5, 0.99, False, (3, 9), 1)
         assert est.n_bands == 7
+
+
+def _old_window_values(grid: BoxGrid) -> np.ndarray:
+    """The window as a running product over meshgrid coordinates."""
+    w = bump(0.0, _WINDOW_RADIUS_FRAC * grid.length)
+    if grid.dim == 1:
+        return np.asarray(w.value(grid.axis()))
+    axes = np.meshgrid(*([grid.axis()] * grid.dim), indexing="ij")
+    out = np.ones(grid.shape(), dtype=complex)
+    for ax in axes:
+        out = out * w.value(ax)
+    return out
+
+
+class TestWindow:
+    @pytest.mark.parametrize("grid", [BoxGrid(1, 256, 40.0), BoxGrid(2, 128, 40.0), BoxGrid(3, 32, 20.0)])
+    def test_separable_window_matches_meshgrid_product(self, grid):
+        assert np.array_equal(_window_values(grid), _old_window_values(grid))

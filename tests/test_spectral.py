@@ -13,8 +13,11 @@ from fracpde import (
     NoRFound,
     NotElliptic,
     SymbolTerm,
+    bump,
     gaussian,
     multiply_symbols,
+    polynomial,
+    step,
 )
 from fracpde.spectral import (
     BoxGrid,
@@ -28,7 +31,9 @@ from fracpde.spectral import (
     export_slice,
     inverse,
     load_field,
+    _symbol_on_grid,
     sample_field,
+    sample_separable,
     save_field,
     solve_elliptic,
     transform,
@@ -304,3 +309,148 @@ class TestFieldFiles:
     def test_csv_needs_right_index_count(self, tmp_path, gauss_field):
         with pytest.raises(DimensionMismatch):
             export_slice(gauss_field, tmp_path / "x.csv", index=(3,))
+
+
+# Symbols covering a constant term, complex coefficients, zero components of
+# alpha and terms of mixed degree, in each dimension.
+AXIS_SYMBOLS = [
+    FracSymbol(1, (SymbolTerm(1.0, (2.0,)), SymbolTerm(0.3 - 0.7j, (0.45,)), SymbolTerm(2.5, (0.0,)))),
+    FracSymbol(2, (SymbolTerm(1.0, (0.5, 0.0)), SymbolTerm(1.0, (0.0, 0.5)))),
+    FracSymbol(2, (SymbolTerm(1.0 + 0.5j, (1.5, 0.0)), SymbolTerm(-0.4 + 1.1j, (0.7, 0.35)),
+                   SymbolTerm(0.25, (0.0, 0.0)), SymbolTerm(0.8 - 0.2j, (0.0, 1.2)))),
+    FracSymbol(3, (SymbolTerm(1.0, (0.6, 0.0, 0.0)), SymbolTerm(0.9 + 0.3j, (0.0, 0.6, 0.0)),
+                   SymbolTerm(1.1, (0.0, 0.0, 0.6)), SymbolTerm(-0.5 + 0.5j, (0.3, 0.2, 0.1)),
+                   SymbolTerm(0.2j, (0.0, 0.0, 0.0)))),
+]
+# Small and large boxes per dimension: numpy may evaluate a large temporary
+# product in place, so both regimes are pinned.
+AXIS_GRIDS = {1: (BoxGrid(1, 64, 13.0), BoxGrid(1, 32768, 13.0)),
+              2: (BoxGrid(2, 32, 13.0), BoxGrid(2, 256, 13.0)),
+              3: (BoxGrid(3, 16, 13.0), BoxGrid(3, 64, 13.0))}
+# Elliptic, with a complex coefficient and a lower-order cross term.
+MIXED_2D = FracSymbol(2, (SymbolTerm(1.0 + 0.5j, (1.5, 0.0)), SymbolTerm(1.0, (0.0, 1.5)),
+                          SymbolTerm(-0.4 + 1.1j, (0.7, 0.35)), SymbolTerm(0.25, (0.0, 0.0))))
+AXIS_CASES = [(sym, g) for sym in AXIS_SYMBOLS for g in AXIS_GRIDS[sym.dim]]
+
+
+def _old_frequency_radii(g):
+    lam = g.frequency_grid()
+    return np.sqrt(np.sum(lam * lam, axis=-1))
+
+
+def _meshgrid_sample(g, fn):
+    if g.dim == 1:
+        return sample_field(g, fn)
+    return sample_field(g, lambda *axes: np.prod([fn(ax) for ax in axes], axis=0))
+
+
+class TestAxisFactors:
+    """The per-axis constructions agree bit for bit with the full-grid ones."""
+
+    @pytest.mark.parametrize("sym,g", AXIS_CASES)
+    def test_symbol_matches_symbol_eval(self, sym, g):
+        assert np.array_equal(_symbol_on_grid(sym, g), symbol_eval(sym, g.frequency_grid()))
+
+    @pytest.mark.parametrize("g", [g for pair in AXIS_GRIDS.values() for g in pair])
+    def test_frequency_radii(self, g):
+        assert np.array_equal(g.frequency_radii(), _old_frequency_radii(g))
+
+    @pytest.mark.parametrize("dim,m", [(1, 128), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("spec", [gaussian(0.3, 1.1), step(-1.0, 0.5), bump(0.2, 2.0),
+                                      polynomial([0.5, 1j, -0.25])])
+    def test_separable_sampler_matches_meshgrid_product(self, dim, m, spec):
+        g = BoxGrid(dim, m, 10.0)
+        assert np.array_equal(sample_separable(g, spec.value).values,
+                              _meshgrid_sample(g, spec.value).values)
+
+    def test_axis_frequencies_broadcast(self):
+        g = BoxGrid(3, 16, 5.0)
+        axes = g.axis_frequencies()
+        assert [a.shape for a in axes] == [(16, 1, 1), (1, 16, 1), (1, 1, 16)]
+        lam = g.frequency_grid()
+        for i, a in enumerate(axes):
+            assert np.array_equal(np.broadcast_to(a, g.shape()), lam[..., i])
+
+    @pytest.mark.parametrize("dim,m", [(1, 256), (2, 64), (3, 16)])
+    def test_transform_pair_matches_full_products(self, dim, m):
+        # The transforms scale and phase-shift in place; the values are those
+        # of the out-of-place products.
+        g = BoxGrid(dim, m, 16.0)
+        f = _meshgrid_sample(g, gaussian(0.2, 1.0).value)
+        phase = np.exp(1j * g.frequencies() * g.x0)
+        want = np.fft.ifftn(f.values) * g.length**g.dim
+        for ax in range(dim):
+            want = want * phase.reshape([m if k == ax else 1 for k in range(dim)])
+        spec = transform(f)
+        assert np.array_equal(spec.values, want)
+        back = spec.values
+        for ax in range(dim):
+            back = back * np.conj(phase).reshape([m if k == ax else 1 for k in range(dim)])
+        assert np.array_equal(inverse(spec).values, np.fft.fftn(back) / g.length**g.dim)
+
+    @pytest.mark.parametrize("sym,g,radius", [(LAPLACE, BoxGrid(1, 512, 40.0), 4.0),
+                                              (MIXED_2D, BoxGrid(2, 64, 20.0), 3.0)])
+    def test_parametrix_matches_masked_division(self, sym, g, radius):
+        par = build_parametrix(sym, g, radius)
+        chi = par.chi.values
+        live = chi.real < 1.0
+        want = np.zeros(g.shape(), dtype=complex)
+        want[live] = (1.0 - chi[live]) / symbol_eval(sym, g.frequency_grid())[live]
+        assert np.array_equal(par.e_hat.values, want)
+
+
+def _old_confinement(res, forcing):
+    radius = res.parametrix.radius
+    outside = forcing.grid.frequency_radii() > radius + 1.0
+    f_hat_sup = float(np.max(np.abs(transform(forcing).values)))
+    residual_sup = (float(np.max(np.abs(res.residual_spectrum.values[outside])))
+                    if outside.any() else 0.0)
+    return f_hat_sup, residual_sup, residual_sup <= 1e-12 * f_hat_sup
+
+
+class TestSolveResult:
+    @pytest.fixture
+    def solved(self):
+        g = BoxGrid(2, 64, 20.0)
+        f = sample_separable(g, step(-1.0, 1.0).value)
+        return solve_elliptic(FRAC_LAP_2D, f, 3.0), f
+
+    def test_keeps_the_forcing_spectrum(self, solved):
+        res, f = solved
+        assert np.array_equal(res.f_hat.values, transform(f).values)
+
+    def test_residual_is_inverse_of_its_spectrum(self, solved):
+        res, _ = solved
+        assert np.array_equal(res.residual.values, inverse(res.residual_spectrum).values)
+
+    def test_one_forward_and_one_inverse_transform(self, monkeypatch):
+        import fracpde.spectral as spectral
+
+        calls = {"transform": 0, "inverse": 0}
+        for name in calls:
+            def counted(arg, _fn=getattr(spectral, name), _name=name):
+                calls[_name] += 1
+                return _fn(arg)
+            monkeypatch.setattr(spectral, name, counted)
+        g = BoxGrid(2, 32, 20.0)
+        res = solve_elliptic(FRAC_LAP_2D, sample_separable(g, gaussian(0, 1).value), 3.0)
+        res.confinement()
+        assert calls == {"transform": 1, "inverse": 1}
+        res.residual
+        assert calls["inverse"] == 2
+
+    def test_confinement_matches_inline_formulas(self, solved):
+        res, f = solved
+        got = res.confinement()
+        assert got == _old_confinement(res, f)
+        assert got[2] is True
+
+    def test_confinement_with_nothing_outside(self):
+        # In 1-D the fastest grid frequency is the Nyquist bound, so a cutoff
+        # whose support reaches it leaves no coefficient outside.
+        g = BoxGrid(1, 64, 2 * math.pi)
+        f = sample_field(g, gaussian(0, 0.5).value)
+        res = solve_elliptic(LAPLACE, f, g.nyquist - 1.0)
+        assert not np.any(g.frequency_radii() > res.parametrix.radius + 1.0)
+        assert res.confinement() == _old_confinement(res, f)
+        assert res.confinement()[1] == 0.0
