@@ -57,25 +57,17 @@ class RunConfig:
     gain_tolerance_1d: float = 0.15
     gain_tolerance_2d: float = 0.2
     outdir: Path = Path(".")
-    seed: int = 1693
 
     def validate(self) -> None:
         try:
             self.box()
+            self.quadrature()
         except ValueError as exc:
             raise click.UsageError(str(exc)) from None
-        if self.subintervals < 16:
-            raise click.UsageError("quadrature needs at least 16 subintervals")
-        if self.grading < 1.0:
-            raise click.UsageError("grading exponent must be >= 1")
-        if self.truncation is not None and not self.truncation > 0:
-            raise click.UsageError("truncation length must be positive")
         if self.cutoff_radius is not None and not self.cutoff_radius > 0:
             raise click.UsageError("cutoff radius must be positive")
         if not (self.gain_tolerance_1d > 0 and self.gain_tolerance_2d > 0):
             raise click.UsageError("gain tolerances must be positive")
-        if self.seed < 0:
-            raise click.UsageError("seed must be a nonnegative integer")
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(
@@ -163,11 +155,9 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
 @click.option("--outdir", type=click.Path(path_type=Path), default=Path("."),
               envvar="FRACPDE_OUTDIR", show_default=True,
               help="Output directory (env: FRACPDE_OUTDIR).")
-@click.option("--seed", default=1693, show_default=True,
-              help="Seed for randomized sampling; stock engines are deterministic.")
 @click.pass_context
 def main(ctx, grid_m, grid_length, grid_dim, subintervals, grading, truncation,
-         cutoff_radius, gain_tolerance_1d, gain_tolerance_2d, outdir, seed):
+         cutoff_radius, gain_tolerance_1d, gain_tolerance_2d, outdir):
     """Fractional differintegrals, elliptic symbols, solves, and estimates."""
     cfg = RunConfig(
         grid_m=grid_m,
@@ -180,7 +170,6 @@ def main(ctx, grid_m, grid_length, grid_dim, subintervals, grading, truncation,
         gain_tolerance_1d=gain_tolerance_1d,
         gain_tolerance_2d=gain_tolerance_2d,
         outdir=outdir,
-        seed=seed,
     )
     cfg.validate()
     ctx.obj = cfg

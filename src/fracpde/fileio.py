@@ -9,13 +9,19 @@ from pathlib import Path
 __all__ = ["atomic_write_bytes", "atomic_write_text"]
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, atomically.
+
+    They go to a temp file in the target directory, which is then renamed
+    into place.  Each chunk is written as it is, so a large buffer is never
+    joined into a copy first.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -34,6 +34,7 @@ __all__ = [
     "shell_spectrum",
     "windowed_shells",
     "band_floor",
+    "fit_regularity",
     "estimate_regularity",
     "export_shell_csv",
 ]
@@ -85,6 +86,10 @@ class ShellSpectrum:
 
     def __len__(self) -> int:
         return len(self.energy)
+
+    def floor(self) -> float:
+        """Dead-band energy threshold implied by the peak shell."""
+        return _FLOOR_RATIO * float(self.energy.max())
 
 
 def shell_spectrum(u, bands_per_octave: int = 3) -> ShellSpectrum:
@@ -178,7 +183,7 @@ def band_floor(u: Field, bands_per_octave: int = 3) -> float:
     noise, not its own, so its dead bands must be judged on the forcing's
     scale.
     """
-    return _FLOOR_RATIO * float(windowed_shells(u, bands_per_octave).energy.max())
+    return windowed_shells(u, bands_per_octave).floor()
 
 
 def estimate_regularity(
@@ -190,21 +195,40 @@ def estimate_regularity(
 ) -> RegularityEstimate:
     """Fit the spectral decay exponent of the windowed field.
 
+    :func:`fit_regularity` on :func:`windowed_shells` of ``u``; see there
+    for ``fit_octaves``, ``min_radius`` and ``floor``.
+    """
+    return fit_regularity(
+        windowed_shells(u, bands_per_octave),
+        u.grid.dim,
+        fit_octaves=fit_octaves,
+        min_radius=min_radius,
+        floor=floor,
+    )
+
+
+def fit_regularity(
+    shells: ShellSpectrum,
+    dim: int,
+    fit_octaves: float = 5.0,
+    min_radius: float = 0.0,
+    floor: float | None = None,
+) -> RegularityEstimate:
+    """Fit the decay exponent of a windowed shell spectrum of a ``dim``-d field.
+
     The fit runs over the top ``fit_octaves`` octaves of live shells, where
     the power law has shaken off its low-frequency shoulder.  ``min_radius``
     lifts the usable range above, say, a parametrix cutoff whose plateau
     empties the low bands.  ``floor`` overrides the dead-band threshold
-    (default: a fixed fraction of the peak shell); see :func:`band_floor`.
-    Estimates with a poor fit come back flagged (and warned about), not
-    raised.
+    (default: ``shells.floor()``); see :func:`band_floor`.  Estimates with
+    a poor fit come back flagged (and warned about), not raised.
     """
-    shells = windowed_shells(u, bands_per_octave)
     centers = shells.centers()
     sel = np.flatnonzero(shells.lo_edges >= min_radius)
     if sel.size < 4:
         raise TooFewBands(f"only {sel.size} shells above min_radius = {min_radius:g}")
 
-    dead = floor if floor is not None else _FLOOR_RATIO * float(shells.energy.max())
+    dead = floor if floor is not None else shells.floor()
     floored = shells.energy[sel] <= dead
     if np.any(floored[:-1]):
         return RegularityEstimate(
@@ -213,7 +237,7 @@ def estimate_regularity(
             r_squared=1.0,
             capped=True,
             bands_used=(int(sel[0]), int(sel[-1])),
-            dim=u.grid.dim,
+            dim=dim,
         )
 
     live = sel[~floored]
@@ -231,11 +255,11 @@ def estimate_regularity(
     p = -float(slope)
     est = RegularityEstimate(
         p=p,
-        s_star=(p - u.grid.dim) / 2.0,
+        s_star=(p - dim) / 2.0,
         r_squared=r_squared,
         capped=False,
         bands_used=(int(fit_idx[0]), int(fit_idx[-1])),
-        dim=u.grid.dim,
+        dim=dim,
     )
     if not est.reliable:
         warnings.warn(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -409,20 +410,24 @@ def save_field(field: Field, path: str | Path) -> None:
         "length": field.grid.length,
         "dtype": "<c16",
     }
-    payload = json.dumps(header).encode("utf-8") + b"\n"
-    payload += np.ascontiguousarray(field.values, dtype="<c16").tobytes()
-    atomic_write_bytes(path, payload)
+    values = np.ascontiguousarray(field.values, dtype="<c16")
+    atomic_write_bytes(path, json.dumps(header).encode("utf-8") + b"\n", memoryview(values))
 
 
 def load_field(path: str | Path) -> Field:
-    raw = Path(path).read_bytes()
-    cut = raw.index(b"\n")
-    header = json.loads(raw[:cut].decode("utf-8"))
-    if header.get("format") != _FILE_MAGIC:
-        raise ValueError(f"{path}: not a field file")
-    grid = BoxGrid(int(header["dim"]), int(header["m"]), float(header["length"]))
-    values = np.frombuffer(raw[cut + 1 :], dtype="<c16").reshape(grid.shape())
-    return Field(grid, values.copy())
+    with open(path, "rb") as handle:
+        header = json.loads(handle.readline().decode("utf-8"))
+        if header.get("format") != _FILE_MAGIC:
+            raise ValueError(f"{path}: not a field file")
+        grid = BoxGrid(int(header["dim"]), int(header["m"]), float(header["length"]))
+        nbytes = 16 * math.prod(grid.shape())
+        # Checked before allocating: a header alone must not size the array.
+        if os.fstat(handle.fileno()).st_size - handle.tell() != nbytes:
+            raise ValueError(f"{path}: payload does not hold {nbytes} bytes of field values")
+        values = np.empty(grid.shape(), dtype="<c16")
+        if handle.readinto(memoryview(values).cast("B")) != nbytes:
+            raise ValueError(f"{path}: payload ended early")
+    return Field(grid, values)
 
 
 def export_slice(field: Field, path: str | Path, index: tuple[int, ...] | None = None) -> None:

@@ -35,7 +35,7 @@ from .fracops import (
     rl_integral,
 )
 from .functions import CallableFn, SampledCurve, bump, exponential, gaussian, polynomial, power, step
-from .sobolev import ShellSpectrum, band_floor, estimate_regularity, windowed_shells
+from .sobolev import ShellSpectrum, estimate_regularity, fit_regularity, windowed_shells
 from .spectral import (
     BoxGrid,
     Field,
@@ -644,9 +644,8 @@ def run_regularity_experiment(
             f = sample_separable(grid, f_spec.value)
             res = solve_elliptic(sym, f, radius)
             residual_ok = res.confinement()[2]
-            est_f = estimate_regularity(
-                f, bands_per_octave=cfg.bands_per_octave, min_radius=min_radius
-            )
+            sh_f = windowed_shells(f, cfg.bands_per_octave)
+            est_f = fit_regularity(sh_f, grid.dim, min_radius=min_radius)
             with warnings.catch_warnings():
                 # The solution inherits slow tails from the cutoff kernel;
                 # the estimator windows them away.  Its dead bands are
@@ -654,14 +653,8 @@ def run_regularity_experiment(
                 # forcing's rounding noise by the symbol, so the solution's
                 # own peak says nothing about where noise begins.
                 warnings.simplefilter("ignore", EdgeLeakageWarning)
-                est_u = estimate_regularity(
-                    res.u,
-                    bands_per_octave=cfg.bands_per_octave,
-                    min_radius=min_radius,
-                    floor=band_floor(f, cfg.bands_per_octave),
-                )
                 sh_u = windowed_shells(res.u, cfg.bands_per_octave)
-            sh_f = windowed_shells(f, cfg.bands_per_octave)
+                est_u = fit_regularity(sh_u, grid.dim, min_radius=min_radius, floor=sh_f.floor())
             capped = est_f.capped or est_u.capped
             if capped:
                 gain = math.nan

@@ -289,6 +289,33 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    HALF_AT_ONE = ["differint", "--func", "power", "--nu", "0.5", "--at", "1"]
+
+    def test_few_subintervals_run(self, runner):
+        result = runner.invoke(main, ["-N", "8", *self.HALF_AT_ONE])
+        assert result.exit_code == 0, result.output
+        assert float(result.output.strip()) == pytest.approx(TWO_OVER_ROOT_PI, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["-N", "1"], "need at least 2 subintervals"),
+            (["--grading", "0.5"], "grading exponent must be >= 1"),
+            (["--grading", "nan"], "grading exponent must be >= 1"),
+            (["--truncation", "-1"], "truncation length must be positive"),
+            (["--truncation", "nan"], "truncation length must be positive"),
+        ],
+    )
+    def test_quadrature_options_are_checked_by_the_library(self, runner, option, message):
+        result = runner.invoke(main, [*option, *self.HALF_AT_ONE])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_seed_option_is_gone(self, runner):
+        result = runner.invoke(main, ["--seed", "3", *self.HALF_AT_ONE])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
     def test_bad_dimension_is_usage_error(self, runner):
         result = runner.invoke(main, ["-n", "4", "verify"])
         assert result.exit_code == 2

@@ -9,6 +9,7 @@ evaluated independently of the code under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,87 @@ class TestFourier:
     def test_grid_metadata_preserved(self):
         out = fourier_differint(self.curve(gaussian(0, 1)), 0.3)
         assert out.x0 == self.x0 and out.dx == self.dx and out.values.size == self.m
+
+
+def _padded_round_trip(u, nu, pad_factor):
+    """The multiplier engine as first written: pad, ifft, multiply, fft."""
+    nu = complex(nu)
+    m = u.values.size
+    big = m * pad_factor
+    padded = np.zeros(big, dtype=complex)
+    padded[:m] = u.values
+    spec = np.fft.ifft(padded)
+    mult = _old_multiplier(2.0 * math.pi * np.fft.fftfreq(big, d=u.dx), nu)
+    if nu != 0 and nu.real <= 0:
+        mult[0] = 0.0
+    return np.fft.fft(spec * mult)[:m]
+
+
+def _old_multiplier(lam, nu):
+    lam = np.asarray(lam, dtype=float)
+    out = np.zeros(lam.shape, dtype=complex)
+    nz = lam != 0
+    a = np.abs(lam[nz])
+    out[nz] = np.exp(nu * np.log(a)) * np.exp(-0.5j * math.pi * nu * np.sign(lam[nz]))
+    if complex(nu) == 0:
+        out[~nz] = 1.0
+    return out
+
+
+def _line_curve(m, fn, length=20.0):
+    xs = -length / 2 + (length / m) * np.arange(m)
+    return SampledCurve(float(xs[0]), length / m, fn(xs))
+
+
+def _gauss(x):
+    return np.exp(-x * x)
+
+
+def _dipole(x):
+    return np.exp(-((x - 1.0) ** 2)) - np.exp(-((x + 1.0) ** 2))
+
+
+class TestFourierKernel:
+    """The one-kernel-transform engine against the padded round trip."""
+
+    @pytest.mark.parametrize("m", [64, 65])
+    @pytest.mark.parametrize("pad", [1, 2, 3, 32])
+    @pytest.mark.parametrize(
+        "nu, fn",
+        [(0.0, _gauss), (0.3, _gauss), (1.5, _gauss), (0.5 + 0.2j, _gauss), (-0.5, _dipole)],
+    )
+    def test_matches_padded_round_trip(self, m, pad, nu, fn):
+        u = _line_curve(m, fn)
+        want = _padded_round_trip(u, nu, pad)
+        got = fourier_differint(u, nu, pad_factor=pad).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.3j])
+    def test_dc_guard_on_nonzero_mean(self, nu):
+        with pytest.raises(DCUndefined):
+            fourier_differint(_line_curve(64, _gauss), nu)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 65])
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.5, -0.5, 0.5 + 0.2j, 0.3j])
+    def test_multiplier_matches_old_formula(self, n, nu):
+        lam = 2.0 * math.pi * np.fft.fftfreq(n, d=0.37)
+        assert np.array_equal(fracops.fourier_multiplier(lam, nu), _old_multiplier(lam, nu))
+        want = _old_multiplier(lam, complex(nu))
+        assert np.array_equal(fracops._fftfreq_multiplier(n, 0.37, complex(nu)), want)
+        zero = np.zeros(3)
+        assert np.array_equal(fracops.fourier_multiplier(zero, nu), _old_multiplier(zero, nu))
+
+    def test_peak_memory_is_a_few_padded_vectors(self):
+        m, pad = 256, 256
+        u = _line_curve(m, _gauss)
+        fourier_differint(u, 1.5, pad_factor=pad)  # plan and import warm-up
+        tracemalloc.start()
+        try:
+            fourier_differint(u, 1.5, pad_factor=pad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * m * pad * 16
 
 
 class TestHankelLoop:

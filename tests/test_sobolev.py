@@ -12,10 +12,13 @@ from fracpde.sobolev import (
     _WINDOW_RADIUS_FRAC,
     RegularityEstimate,
     _window_values,
+    band_floor,
     estimate_regularity,
     export_shell_csv,
+    fit_regularity,
     shell_spectrum,
     sobolev_norm,
+    windowed_shells,
 )
 from fracpde.spectral import BoxGrid, Field, SpectralField, inverse, sample_field
 
@@ -173,6 +176,22 @@ class TestEstimate:
         data = json.loads(est.to_json())
         assert data["p"] is None and data["s_star"] is None
         assert data["capped"] is True
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            (sample_field(GRID, step(-1.0, 1.0).value), {}),
+            (sample_field(GRID, step(-1.0, 1.0).value), {"min_radius": 12.0, "fit_octaves": 3.0}),
+            (synthetic(GRID, 2.0), {"floor": 1e-30}),
+            (sample_field(GRID, gaussian(0, 1).value), {}),
+            (sample_field(BoxGrid(2, 256, 40.0), lambda x, y: (np.abs(x) <= 1.0) * np.exp(-y * y)), {}),
+        ],
+    )
+    def test_shell_level_fit_equals_field_fit(self, field, kwargs):
+        shells = windowed_shells(field, 3)
+        want = estimate_regularity(field, 3, **kwargs)
+        assert fit_regularity(shells, field.grid.dim, **kwargs) == want
+        assert shells.floor() == band_floor(field, 3)
 
     def test_band_count_property(self):
         est = RegularityEstimate(2.0, 0.5, 0.99, False, (3, 9), 1)

@@ -1,6 +1,8 @@
 """Box transform calibration, parametrix identities, and the elliptic solver."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fracpde.spectral import (
     Field,
     Parametrix,
     SpectralField,
+    _FILE_MAGIC,
     apply_operator,
     build_cutoff,
     build_parametrix,
@@ -287,6 +290,53 @@ class TestFieldFiles:
         back = load_field(path)
         assert back.grid == gauss_field.grid
         assert np.array_equal(back.values, gauss_field.values)
+
+    def test_bytes_are_header_then_raw_values(self, tmp_path):
+        g = BoxGrid(2, 64, 8.0)
+        f = sample_field(g, lambda x, y: np.exp(-x * x) + 1j * y)
+        path = tmp_path / "field.bin"
+        save_field(f, path)
+        header = {"format": _FILE_MAGIC, "dim": 2, "m": 64, "length": 8.0, "dtype": "<c16"}
+        want = json.dumps(header).encode("utf-8") + b"\n" + f.values.astype("<c16").tobytes()
+        assert path.read_bytes() == want
+        back = load_field(path)
+        assert back.grid == g and np.array_equal(back.values, f.values)
+
+    def test_no_second_field_sized_buffer(self, tmp_path):
+        g = BoxGrid(2, 256, 8.0)
+        f = sample_field(g, lambda x, y: np.exp(-x * x - y * y))
+        path = tmp_path / "field.bin"
+        save_field(f, path)
+        load_field(path)
+        size = f.values.nbytes
+        tracemalloc.start()
+        try:
+            save_field(f, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_field(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < size // 4
+        assert size <= load_peak < size + size // 4
+        assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_rejects_wrong_payload_length(self, tmp_path, gauss_field, cut):
+        path = tmp_path / "field.bin"
+        save_field(gauss_field, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\0")
+        with pytest.raises(ValueError):
+            load_field(path)
+
+    def test_header_too_big_for_payload_is_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "field.bin"
+        header = {"format": _FILE_MAGIC, "dim": 3, "m": 2**16, "length": 1.0, "dtype": "<c16"}
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(64))
+        with pytest.raises(ValueError, match="payload"):
+            load_field(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.bin"

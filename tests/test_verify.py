@@ -5,7 +5,10 @@ import math
 
 import pytest
 
-from fracpde import NotElliptic, UnknownCheckId
+from fracpde import NotElliptic, UnknownCheckId, gaussian, step
+from fracpde import verify
+from fracpde.sobolev import band_floor, estimate_regularity
+from fracpde.spectral import sample_separable, solve_elliptic
 from fracpde.symbols import FracSymbol, SymbolTerm
 from fracpde.verify import (
     CANONICAL_CHECK_IDS,
@@ -22,6 +25,21 @@ from fracpde.verify import (
 THREE_OVER_ROOT_PI = 1.6925687506432707
 # D^{1/2}(x^2) at x=1 is Gamma(3)/Gamma(5/2) = 8/(3 sqrt(pi)).
 EIGHT_OVER_THREE_ROOT_PI = 1.5045055561469061
+
+# The default gain matrix as written when each fit windowed and transformed
+# its own field (five shell spectra per forcing).
+FROZEN_GAIN_ROWS = [
+    "D^0.4,0.4,0.437943582097,0.83683288224,0.398889300142,0.4,true",
+    "D^0.4,0.4,inf,inf,nan,0.4,true",
+    "D^0.7,0.7,0.437943582097,1.13584370688,0.697900124783,0.7,true",
+    "D^0.7,0.7,inf,inf,nan,0.7,true",
+    "D^1.3,1.3,0.437943582097,1.73346356065,1.29551997855,1.3,true",
+    "D^1.3,1.3,inf,inf,nan,1.3,true",
+    "D^2,2,0.437943582097,2.43001399228,1.99207041018,2,true",
+    "D^2,2,inf,inf,nan,2,true",
+    "D1^0.5+D2^0.5,0.5,0.2550476401,0.676941163675,0.421893523575,0.5,true",
+    "D1^0.5+D2^0.5,0.5,inf,inf,nan,0.5,true",
+]
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +180,35 @@ class TestExperiment:
         saddle = FracSymbol(2, (SymbolTerm(1.0, (0.5, 0.0)), SymbolTerm(-1.0, (0.0, 0.5))))
         with pytest.raises(NotElliptic):
             run_regularity_experiment(operators=[saddle])
+
+    def test_rows_match_frozen_values(self, rows):
+        assert [r.csv_row() for r in rows] == FROZEN_GAIN_ROWS
+
+    def test_one_shell_spectrum_per_field(self, monkeypatch):
+        real, calls = verify.windowed_shells, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "windowed_shells", counting)
+        cfg = VerifyConfig(grid_m=2048)
+        op = FracSymbol(1, (SymbolTerm(1.0, (0.7,)),))
+        forcings = (step(-1.0, 1.0), gaussian(0.0, 1.0))
+        got = run_regularity_experiment([op], forcings, cfg)
+        assert len(calls) == 2 * len(forcings)
+
+        # Each row against the fits run on the fields themselves.
+        min_radius = 2.0 * (cfg.cutoff_radius + 1.0)
+        bpo = cfg.bands_per_octave
+        for row, f_spec in zip(got, forcings):
+            f = sample_separable(cfg.box(1), f_spec.value)
+            u = solve_elliptic(op, f, cfg.cutoff_radius).u
+            est_f = estimate_regularity(f, bpo, min_radius=min_radius)
+            est_u = estimate_regularity(u, bpo, min_radius=min_radius, floor=band_floor(f, bpo))
+            assert (row.s_f, row.s_u) == (est_f.s_star, est_u.s_star)
+            assert row.capped == (est_f.capped or est_u.capped)
+            assert row.reliable == (est_f.reliable and est_u.reliable)
 
     def test_csv_table(self, rows, tmp_path):
         out = tmp_path / "gains.csv"
