@@ -201,7 +201,10 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
     if (at_x is None) == (not on_grid):
         raise click.UsageError("pass exactly one of --at and --grid")
     f = _parse_func(func)
-    order = DifferintOrder(nu, _parse_base(base))
+    try:
+        order = DifferintOrder(nu, _parse_base(base))
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     quad = cfg.quadrature()
     axis = cfg.box(1).axis()
     xs = np.array([at_x]) if at_x is not None else axis
@@ -299,7 +302,7 @@ def solve_command(cfg: RunConfig, op, forcing, output):
 @click.option("--s", "s_order", type=float, default=None, help="Norm order to evaluate.")
 @click.option("--min-radius", default=0.0, show_default=True,
               help="Lowest shell edge used by the regularity fit.")
-@click.option("--bands-per-octave", default=3, show_default=True)
+@click.option("--bands-per-octave", type=click.IntRange(min=1), default=3, show_default=True)
 @click.pass_obj
 @_computation
 def sobolev_command(cfg: RunConfig, field_file, func, s_order, min_radius, bands_per_octave):

@@ -86,15 +86,18 @@ MINUS_INF = float("-inf")
 class DifferintOrder:
     """Order ``nu`` and base point ``c`` of a differintegral.
 
-    ``c`` is a finite real or ``-inf``.  For ``Re(nu) >= 0`` the outer
-    derivative count is ``n = floor(Re(nu)) + 1``.
+    ``nu`` is finite and ``c`` is a finite real or ``-inf``.  For
+    ``Re(nu) >= 0`` the outer derivative count is ``n = floor(Re(nu)) + 1``.
     """
 
     nu: complex
     c: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", complex(self.nu))
+        nu = complex(self.nu)
+        if not cmath.isfinite(nu):
+            raise ValueError("order must be finite")
+        object.__setattr__(self, "nu", nu)
         c = float(self.c)
         if math.isnan(c) or c == math.inf:
             raise ValueError("base point must be finite or -inf")

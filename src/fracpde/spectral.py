@@ -15,8 +15,10 @@ frequency cutoff ``chi``: with ``E_hat = (1 - chi)/P`` the exact identity
 ``u = IFT(E_hat * f_hat)`` satisfies ``P(D) u = f + omega * f`` where
 ``omega = IFT(-chi)`` is a smoothing remainder confined to low frequencies.
 Nothing is truncated silently: :class:`SolveResult` carries the forcing
-spectrum ``f_hat`` and the residual spectrum with the solution, and computes
-the residual field from that spectrum only when it is read.
+spectrum ``f_hat`` with the solution, and computes the residual spectrum
+``-chi * f_hat`` and the residual field on demand.  The transforms write
+into arrays they own, and the solution is transformed in the buffer of its
+own spectrum.
 
 Symbols, radii and separable samples are built from 1-D axis factors: every
 symbol term is ``c * prod(lambda_i^alpha_i)``, a separable function is
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-8
+# Grid values per block of rows in ``SolveResult.confinement``.
+_BLOCK_VALUES = 1 << 15
 _FILE_MAGIC = "fracpde-field-v1"
 
 
@@ -126,10 +130,15 @@ class BoxGrid:
         return [_along(self.frequencies(), ax, self.dim) for ax in range(self.dim)]
 
     def frequency_radii(self) -> np.ndarray:
-        total = 0.0
-        for lam in self.axis_frequencies():
-            total = total + lam * lam
-        return np.sqrt(total, out=total)
+        return _radii(self.axis_frequencies())
+
+
+def _radii(axis_frequencies: list[np.ndarray]) -> np.ndarray:
+    """``sqrt(sum(lambda_i^2))`` broadcast from per-axis frequency vectors."""
+    total = 0.0
+    for lam in axis_frequencies:
+        total = total + lam * lam
+    return np.sqrt(total, out=total)
 
 
 def _along(vec: np.ndarray, ax: int, dim: int) -> np.ndarray:
@@ -216,7 +225,7 @@ def transform(field: Field) -> SpectralField:
     """Forward transform, calibrated to ``int u exp(i lambda x) dx``."""
     g = field.grid
     _warn_on_edges(field)
-    spec = np.fft.ifftn(field.values)
+    spec = np.fft.ifftn(field.values, out=np.empty(g.shape(), dtype=complex))
     spec *= g.length**g.dim
     phase = np.exp(1j * g.frequencies() * g.x0)
     for ax in range(g.dim):
@@ -224,14 +233,19 @@ def transform(field: Field) -> SpectralField:
     return SpectralField(g, spec)
 
 
+class _Scratch(SpectralField):
+    """A spectrum nothing else holds, which :func:`inverse` transforms in its own buffer."""
+
+
 def inverse(spectral: SpectralField) -> Field:
     """Inverse transform; exact round trip with :func:`transform`."""
     g = spectral.grid
     phase = np.exp(-1j * g.frequencies() * g.x0)
-    vals = spectral.values * _along(phase, 0, g.dim)
+    out = spectral.values if isinstance(spectral, _Scratch) else None
+    vals = np.multiply(spectral.values, _along(phase, 0, g.dim), out=out)
     for ax in range(1, g.dim):
         vals *= _along(phase, ax, g.dim)
-    vals = np.fft.fftn(vals)
+    np.fft.fftn(vals, out=vals)
     vals /= g.length**g.dim
     return Field(g, vals)
 
@@ -337,9 +351,10 @@ def build_parametrix(sym: FracSymbol, grid: BoxGrid, radius: float | None = None
     CutoffExceedsNyquist
         If the cutoff shoulder does not fit under the grid Nyquist bound.
     """
-    require_elliptic(sym)
     if radius is None:
         radius = estimate_bounds(sym).radius
+    else:
+        require_elliptic(sym)
     chi = build_cutoff(grid, radius)
     p_vals = _symbol_on_grid(sym, grid)
     live = chi.values.real < 1.0
@@ -359,18 +374,22 @@ def build_parametrix(sym: FracSymbol, grid: BoxGrid, radius: float | None = None
 class SolveResult:
     """Solution with its low-frequency defect; ``P(D) u = f + residual``.
 
-    ``f_hat`` is the forcing spectrum the solve used; the residual field is
-    inverse-transformed from ``residual_spectrum`` each time it is read.
+    ``f_hat`` is the forcing spectrum the solve used.  The residual spectrum
+    ``-chi * f_hat`` and the residual field are computed each time they are
+    read.
     """
 
     u: Field
-    residual_spectrum: SpectralField
     parametrix: Parametrix
     f_hat: SpectralField
 
     @property
+    def residual_spectrum(self) -> SpectralField:
+        return SpectralField(self.u.grid, -self.parametrix.chi.values * self.f_hat.values)
+
+    @property
     def residual(self) -> Field:
-        return inverse(self.residual_spectrum)
+        return inverse(_Scratch(self.u.grid, self.residual_spectrum.values))
 
     def confinement(self) -> tuple[float, float, bool]:
         """``(f_hat_sup, residual_sup_outside, confined)`` beyond the cutoff support.
@@ -378,10 +397,20 @@ class SolveResult:
         ``residual_sup_outside`` is the largest residual coefficient at
         ``|lambda| > radius + 1`` (0 if the grid has none there), and the
         residual is confined when that is at most ``1e-12 * f_hat_sup``.
+        The residual is formed a block of rows at a time, never at full size.
         """
-        outside = self.u.grid.frequency_radii() > self.parametrix.radius + 1.0
-        f_hat_sup = float(np.max(np.abs(self.f_hat.values)))
-        residual_sup = float(np.max(np.abs(self.residual_spectrum.values), where=outside, initial=0.0))
+        g = self.u.grid
+        chi, f_hat = self.parametrix.chi.values, self.f_hat.values
+        first, *others = g.axis_frequencies()
+        step = max(1, _BLOCK_VALUES * g.m // math.prod(g.shape()))
+        f_sups, r_sups = [], []
+        for lo in range(0, g.m, step):
+            rows = slice(lo, lo + step)
+            outside = _radii([first[rows], *others]) > self.parametrix.radius + 1.0
+            f_sups.append(np.max(np.abs(f_hat[rows])))
+            r_sups.append(np.max(np.abs(-chi[rows] * f_hat[rows]), where=outside, initial=0.0))
+        # np.max, not max(): a NaN sup must survive the reduction.
+        f_hat_sup, residual_sup = float(np.max(f_sups)), float(np.max(r_sups))
         return f_hat_sup, residual_sup, residual_sup <= 1e-12 * f_hat_sup
 
 
@@ -393,9 +422,8 @@ def solve_elliptic(sym: FracSymbol, forcing: Field, radius: float | None = None)
     """
     par = build_parametrix(sym, forcing.grid, radius)
     f_hat = transform(forcing)
-    u = inverse(SpectralField(forcing.grid, par.e_hat.values * f_hat.values))
-    r_hat = SpectralField(forcing.grid, -par.chi.values * f_hat.values)
-    return SolveResult(u, r_hat, par, f_hat)
+    u = inverse(_Scratch(forcing.grid, par.e_hat.values * f_hat.values))
+    return SolveResult(u, par, f_hat)
 
 
 # -- field files -----------------------------------------------------------------

@@ -195,6 +195,34 @@ def symbol_eval(sym: FracSymbol, lam) -> np.ndarray:
     return out
 
 
+def _point_modulus(sym: FracSymbol):
+    """``lam -> abs(symbol_eval(sym, lam[None, :]))[0]`` for one point, bit for bit.
+
+    The objective of the local minimizers: it runs the same numpy ufuncs on
+    length-1 arrays as ``symbol_eval`` (a pure ``math``/``cmath`` version
+    rounds differently), minus the masks and the array set-up per call.
+    """
+    terms = [(np.full(1, t.coefficient), t.alpha) for t in sym.terms]
+
+    def modulus(lam) -> float:
+        out = np.zeros(1, dtype=complex)
+        for piece, alpha in terms:
+            for x, a in zip(lam, alpha):
+                if a == 0:
+                    continue
+                if x > 0:
+                    power = np.array([x]) ** a
+                elif x < 0:
+                    power = np.exp(a * (np.log(np.array([-x])) + 1j * math.pi))
+                else:
+                    power = np.zeros(1, dtype=complex)
+                piece = power * piece
+            out += piece
+        return float(np.abs(out)[0])
+
+    return modulus
+
+
 def order_and_gap(sym: FracSymbol) -> OrderInfo:
     """Operator order and the gap down to the next lower-degree terms.
 
@@ -263,8 +291,8 @@ def check_ellipticity(sym: FracSymbol, samples: int | None = None) -> Ellipticit
                 math.atan2(best_dir[1], best_dir[0]),
                 math.acos(np.clip(best_dir[2], -1.0, 1.0)),
             ])
-        obj = lambda ang: float(np.abs(symbol_eval(principal, _unit(ang, sym.dim)[None, :]))[0])
-        res = minimize(obj, start, method="Nelder-Mead",
+        modulus = _point_modulus(principal)
+        res = minimize(lambda ang: modulus(_unit(ang, sym.dim)), start, method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
         if res.fun < best_val:
             best_val = float(res.fun)
@@ -299,12 +327,12 @@ def _ratio_polish(
     sampled minimum down to it.  Returns the polished value and its radius.
     """
     dim = sym.dim
+    modulus = _point_modulus(sym)
 
     def ratio_at(logr: float, angles) -> float:
         r = math.exp(logr)
         d = dir0 if dim == 1 else _unit(angles, dim)
-        val = float(np.abs(symbol_eval(sym, (r * d)[None, :]))[0])
-        return val / (1.0 + r * r) ** (order / 2.0)
+        return modulus(r * d) / (1.0 + r * r) ** (order / 2.0)
 
     if dim == 1:
         x0 = [math.log(r0)]

@@ -104,6 +104,17 @@ class TestDifferint:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option, message", [
+        (["--nu", "inf"], "order must be finite"),
+        (["--nu", "nan"], "order must be finite"),
+        (["--nu", "0.5", "--c", "nan"], "base point must be finite or -inf"),
+        (["--nu", "0.5", "--c", "inf"], "base point must be finite or -inf"),
+    ])
+    def test_nonfinite_order_or_base_is_usage_error(self, runner, option, message):
+        result = runner.invoke(main, ["differint", "--func", "power", *option, "--at", "1"])
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_unknown_function_reports_error_class(self, runner):
         result = runner.invoke(
             main, ["differint", "--func", "nosuch", "--nu", "0.5", "--at", "1"])
@@ -195,6 +206,12 @@ class TestSolveAndSobolev:
     def test_sobolev_needs_exactly_one_input(self, runner):
         result = runner.invoke(main, ["sobolev"])
         assert result.exit_code == 2
+
+    def test_zero_bands_per_octave_is_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["-m", "256", "sobolev", "--func", "gaussian", "--bands-per-octave", "0"])
+        assert result.exit_code == 2
+        assert "--bands-per-octave" in result.output
 
 
 class TestVerifyCommand:

@@ -203,6 +203,11 @@ class TestDomainErrors:
         with pytest.raises(NotSmoothEnough):
             rl_derivative(step(-1, 1), DifferintOrder(0.5, -2.0), np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan, complex(0.5, math.inf)])
+    def test_order_must_be_finite(self, nu):
+        with pytest.raises(ValueError, match="order must be finite"):
+            DifferintOrder(nu, 0.0)
+
     def test_base_point_must_not_be_plus_inf(self):
         with pytest.raises(ValueError):
             DifferintOrder(0.5, math.inf)

@@ -1,5 +1,6 @@
 """Box transform calibration, parametrix identities, and the elliptic solver."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from fracpde.spectral import (
     Parametrix,
     SpectralField,
     _FILE_MAGIC,
+    _Scratch,
     apply_operator,
     build_cutoff,
     build_parametrix,
@@ -504,3 +506,83 @@ class TestSolveResult:
         assert not np.any(g.frequency_radii() > res.parametrix.radius + 1.0)
         assert res.confinement() == _old_confinement(res, f)
         assert res.confinement()[1] == 0.0
+
+
+# sha256 of the field files these solves wrote before the solve path worked
+# in place; the files must not change by a bit.
+PINNED_FIELDS = [
+    (MIXED_2D, BoxGrid(2, 64, 20.0), bump(0.25, 2.0), None,
+     "baee62c9467174cc24ba536e1045203e2f50d47abe59bab84786253991551100"),
+    (FracSymbol(3, (SymbolTerm(1.2, (0.65, 0.0, 0.0)), SymbolTerm(0.8, (0.0, 0.65, 0.0)),
+                    SymbolTerm(1.5, (0.0, 0.0, 0.65)))),
+     BoxGrid(3, 32, 20.0), step(-1.2, 1.7), 2.0,
+     "37a306f298ee3cefa0ff309d34e620b1a5c968147375449a3db2d63a36eb1e15"),
+]
+
+
+class TestSolveInPlace:
+    """The solve path does each step once, in buffers it owns."""
+
+    @pytest.mark.parametrize("sym,g,spec,radius,digest", PINNED_FIELDS)
+    def test_field_file_is_pinned(self, tmp_path, sym, g, spec, radius, digest):
+        res = solve_elliptic(sym, sample_separable(g, spec.value), radius)
+        path = tmp_path / "u.field"
+        save_field(res.u, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim,m", [(1, 256), (2, 64), (3, 16)])
+    def test_scratch_inverse_equals_the_copying_one(self, dim, m):
+        g = BoxGrid(dim, m, 16.0)
+        spec = transform(sample_separable(g, gaussian(0.2, 1.0).value))
+        buf = spec.values.copy()
+        got = inverse(_Scratch(g, buf))
+        assert got.values is buf
+        assert np.array_equal(got.values, inverse(spec).values)
+
+    def test_residual_spectrum_is_minus_chi_times_f_hat(self):
+        g = BoxGrid(2, 64, 20.0)
+        res = solve_elliptic(MIXED_2D, sample_separable(g, step(-1.0, 1.5).value), 3.0)
+        want = -res.parametrix.chi.values * res.f_hat.values
+        assert np.array_equal(res.residual_spectrum.values, want)
+
+    @pytest.mark.parametrize("radius", [None, 3.0])
+    def test_one_ellipticity_scan_per_solve(self, monkeypatch, radius):
+        import fracpde.symbols as symbols
+
+        calls = []
+        scan = symbols.check_ellipticity
+        monkeypatch.setattr(symbols, "check_ellipticity", lambda *a, **k: calls.append(1) or scan(*a, **k))
+        g = BoxGrid(2, 32, 20.0)
+        solve_elliptic(FRAC_LAP_2D, sample_separable(g, gaussian(0, 1).value), radius)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("g", [BoxGrid(2, 512, 40.0), BoxGrid(3, 64, 20.0)])
+    def test_confinement_over_several_blocks(self, g):
+        f = sample_separable(g, step(-1.0, 1.0).value)
+        sym = FRAC_LAP_2D if g.dim == 2 else PINNED_FIELDS[1][0]
+        res = solve_elliptic(sym, f, 3.0)
+        assert res.confinement() == _old_confinement(res, f)
+
+    def test_confinement_keeps_a_nan(self):
+        g = BoxGrid(2, 64, 20.0)
+        f = sample_separable(g, gaussian(0, 1).value)
+        f.values[3, 5] = np.nan
+        f_hat_sup, residual_sup, confined = solve_elliptic(FRAC_LAP_2D, f, 3.0).confinement()
+        assert math.isnan(f_hat_sup) and math.isnan(residual_sup) and not confined
+
+    def test_peak_memory_of_solve_confinement_and_save(self, tmp_path):
+        g = BoxGrid(2, 512, 40.0)
+        sym = FracSymbol(2, (SymbolTerm(1.3, (1.45, 0.0)), SymbolTerm(0.7, (0.0, 1.45))))
+        tracemalloc.start()
+        try:
+            f = sample_separable(g, step(-1.2, 1.7).value)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = solve_elliptic(sym, f, None)
+            res.confinement()
+            save_field(res.u, tmp_path / "u.field")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # u, f_hat, e_hat and chi stay; the inverse runs in the product's buffer.
+        assert peak <= 5 * f.values.nbytes

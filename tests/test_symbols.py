@@ -21,6 +21,7 @@ from fracpde import (
     require_elliptic,
     symbol_eval,
 )
+from fracpde.symbols import _point_modulus
 
 
 def mono(dim, *alpha, c=1.0):
@@ -142,6 +143,33 @@ class TestEllipticity:
         small = FracSymbol(2, tuple(SymbolTerm(1e-6 * t.coefficient, t.alpha) for t in SADDLE_2D.terms))
         rep = check_ellipticity(small)
         assert not rep.elliptic
+
+
+class TestPointModulus:
+    """The minimizers' one-point objective equals ``symbol_eval`` bit for bit."""
+
+    def test_equals_symbol_eval_at_random_points(self):
+        rng = np.random.default_rng(20)
+        checked = 0
+        for _ in range(120):
+            dim = int(rng.integers(1, 4))
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                alpha = tuple(float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.1, 2.5)]))
+                              for _ in range(dim))
+                c = complex(rng.normal(), rng.normal()) if rng.random() < 0.5 else rng.normal()
+                terms.append(SymbolTerm(c, alpha))
+            sym = FracSymbol(dim, tuple(terms))
+            modulus = _point_modulus(sym)
+            pts = rng.normal(size=(30, dim)) * 10 ** rng.uniform(-2, 3)
+            pts[rng.random(pts.shape) < 0.2] = 0.0
+            batch = np.abs(symbol_eval(sym, pts))
+            for p, want in zip(pts, batch):
+                got = modulus(p)
+                assert got == float(np.abs(symbol_eval(sym, p[None, :]))[0])
+                assert got == want
+                checked += 1
+        assert checked >= 3000
 
 
 class TestBounds:
