@@ -32,7 +32,7 @@ from .fracops import (
 )
 from .functions import FunctionSpec, SampledCurve, catalog_lookup
 from .sobolev import estimate_regularity, sobolev_norm
-from .spectral import BoxGrid, load_field, sample_separable, save_field, solve_elliptic
+from .spectral import _CSV_ROW, BoxGrid, load_field, sample_separable, save_field, solve_elliptic
 from .symbols import FracSymbol, check_ellipticity, estimate_bounds, order_and_gap, principal_symbol
 from .verify import (
     VerifyConfig,
@@ -228,8 +228,7 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
         click.echo(_format_scalar(vals[0]))
     else:
         vals = np.asarray(vals, dtype=complex)
-        rows = (f"{x:.12g},{re:.12g},{im:.12g}"
-                for x, re, im in zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist()))
+        rows = map(_CSV_ROW.__mod__, zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist()))
         click.echo("\n".join(["x,re,im", *rows]))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import TooFewBands, UnreliableFitWarning
 from .fileio import atomic_write_text
 from .functions import bump
-from .spectral import BoxGrid, Field, SpectralField, sample_separable, transform
+from .spectral import BoxGrid, Field, SpectralField, _along, _ifftn, _rows_per_block, _warn_on_edges, transform
 
 __all__ = [
     "ShellSpectrum",
@@ -100,19 +100,24 @@ def shell_spectrum(u, bands_per_octave: int = 3) -> ShellSpectrum:
     """
     if bands_per_octave < 1:
         raise ValueError("bands_per_octave must be at least 1")
-    spec = _spectrum_of(u)
-    g = spec.grid
+    g = u.grid
     lo = 4.0 * (2.0 * math.pi / g.length)
     hi = 0.75 * g.nyquist
     if hi <= lo:
         raise TooFewBands("grid resolves no frequencies between the DC guard and 3/4 Nyquist")
     n_bands = max(int(round(bands_per_octave * math.log2(hi / lo))), 1)
     edges = np.geomspace(lo, hi, n_bands + 1)
+    if isinstance(u, SpectralField):
+        spec, scale = u.values, 1.0
+    else:
+        # |transform(u)|^2 is |ifftn(u)|^2 (L^n)^2: the phase factors have modulus 1.
+        _warn_on_edges(u)
+        spec, scale = _ifftn(u.values), float(g.length**g.dim) ** 2
     rho = g.frequency_radii().ravel()
     which = np.digitize(rho, edges) - 1
     inside = (which >= 0) & (which < n_bands) & (rho < hi)
     counts = np.bincount(which[inside], minlength=n_bands)
-    sums = np.bincount(which[inside], weights=np.abs(spec.values.ravel()[inside]) ** 2, minlength=n_bands)
+    sums = np.bincount(which[inside], weights=np.abs(spec.ravel()[inside]) ** 2, minlength=n_bands) * scale
     keep = counts > 0
     if keep.sum() < 4:
         raise TooFewBands(f"only {int(keep.sum())} populated shells on this grid")
@@ -164,15 +169,29 @@ class RegularityEstimate:
         return json.dumps(self.to_dict())
 
 
-def _window_values(grid: BoxGrid) -> np.ndarray:
+def _window_axis(grid: BoxGrid) -> np.ndarray:
+    """The real 1-D window on the grid axis; the full window is its product over the axes."""
     w = bump(0.0, _WINDOW_RADIUS_FRAC * grid.length)
-    return sample_separable(grid, w.value).values
+    return np.asarray(w.value(grid.axis()), dtype=float)
 
 
 def windowed_shells(u: Field, bands_per_octave: int = 3) -> ShellSpectrum:
-    """Shell spectrum of the windowed field, exactly as the estimator fits it."""
-    windowed = Field(u.grid, u.values * _window_values(u.grid))
-    return shell_spectrum(windowed, bands_per_octave)
+    """Shell spectrum of the windowed field, exactly as the estimator fits it.
+
+    The window is the product of the real 1-D window over the axes; it is
+    formed and applied a block of rows at a time, never at full size.
+    """
+    g = u.grid
+    w = _window_axis(g)
+    vals = np.empty(g.shape(), dtype=complex)
+    step = _rows_per_block(g.shape())
+    for lo in range(0, g.m, step):
+        rows = slice(lo, lo + step)
+        win = _along(w, 0, g.dim)[rows]
+        for ax in range(1, g.dim):
+            win = win * _along(w, ax, g.dim)
+        np.multiply(u.values[rows], win, out=vals[rows])
+    return shell_spectrum(Field(g, vals), bands_per_octave)
 
 
 def band_floor(u: Field, bands_per_octave: int = 3) -> float:

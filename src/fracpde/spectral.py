@@ -16,9 +16,15 @@ frequency cutoff ``chi``: with ``E_hat = (1 - chi)/P`` the exact identity
 ``omega = IFT(-chi)`` is a smoothing remainder confined to low frequencies.
 Nothing is truncated silently: :class:`SolveResult` carries the forcing
 spectrum ``f_hat`` with the solution, and computes the residual spectrum
-``-chi * f_hat`` and the residual field on demand.  The transforms write
-into arrays they own, and the solution is transformed in the buffer of its
-own spectrum.
+``-chi * f_hat`` and the residual field on demand.
+
+``chi`` is real, and it is built only on the index box ``|lambda_i| <= R + 1``
+that holds its support; ``E_hat = 1/P`` outside that box.  The forward
+transform skips the lines of +0 that a compactly supported forcing leaves,
+the transforms write into arrays they own, scale and phase factors are
+applied a block of rows at a time, and the solution is transformed in the
+buffer of its own spectrum.  A solve holds ``u``, ``f_hat``, ``E_hat`` and a
+half-size real ``chi``.
 
 Symbols, radii and separable samples are built from 1-D axis factors: every
 symbol term is ``c * prod(lambda_i^alpha_i)``, a separable function is
@@ -63,9 +69,12 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-8
-# Grid values per block of rows in ``SolveResult.confinement``.
+# Grid values per block of rows in the row-blocked passes, and per batch of
+# lines in a pruned transform pass.
 _BLOCK_VALUES = 1 << 15
 _FILE_MAGIC = "fracpde-field-v1"
+# One ``x,re,im`` CSV row; ``%`` formats exactly as ``f"{x:.12g}"``.
+_CSV_ROW = "%.12g,%.12g,%.12g"
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,6 @@ class BoxGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.m,) * self.dim
 
-    def point_grid(self) -> np.ndarray:
-        """Sample coordinates, shape ``(m, ..., m, dim)``."""
-        axes = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
-        return np.stack(axes, axis=-1)
-
     def frequency_grid(self) -> np.ndarray:
         """Frequency coordinates in fft order, shape ``(m, ..., m, dim)``."""
         axes = np.meshgrid(*([self.frequencies()] * self.dim), indexing="ij")
@@ -148,8 +152,11 @@ def _along(vec: np.ndarray, ax: int, dim: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _as_grid_values(grid: BoxGrid, values) -> np.ndarray:
-    vals = np.asarray(values, dtype=complex)
+def _as_grid_values(grid: BoxGrid, values, keep_real: bool = False) -> np.ndarray:
+    if keep_real and isinstance(values, np.ndarray) and values.dtype == np.float64:
+        vals = values
+    else:
+        vals = np.asarray(values, dtype=complex)
     if vals.shape != grid.shape():
         raise DimensionMismatch(f"values of shape {vals.shape} on a {grid.shape()} grid")
     return vals
@@ -175,13 +182,17 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex coefficients on the frequency grid of a :class:`BoxGrid`."""
+    """Coefficients on the frequency grid of a :class:`BoxGrid`.
+
+    A float64 array stays real (the cutoff and its remainder multiplier are
+    real); any other input is stored as complex.
+    """
 
     grid: BoxGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_grid_values(self.grid, self.values))
+        object.__setattr__(self, "values", _as_grid_values(self.grid, self.values, keep_real=True))
 
 
 def sample_field(grid: BoxGrid, fn) -> Field:
@@ -203,17 +214,23 @@ def sample_separable(grid: BoxGrid, fn) -> Field:
 
     ``fn`` is evaluated once, on the 1-D axis; the product is formed by
     broadcasting in axis order, so it equals ``np.prod`` over a meshgrid.
+    The last factor is multiplied straight into the complex sample buffer.
     """
     vals = np.asarray(fn(grid.axis()))
+    if grid.dim == 1:
+        return Field(grid, vals)
     out = _along(vals, 0, grid.dim)
-    for ax in range(1, grid.dim):
+    for ax in range(1, grid.dim - 1):
         out = out * _along(vals, ax, grid.dim)
-    return Field(grid, out)
+    last = _along(vals, grid.dim - 1, grid.dim)
+    return Field(grid, np.multiply(out, last, out=np.empty(grid.shape(), dtype=complex)))
 
 
 def _warn_on_edges(field: Field) -> None:
-    peak = np.abs(field.values).max()
-    if peak > 0 and field.edge_peak() > _EDGE_TOL * peak:
+    # An edge peak of 0 (or NaN) cannot exceed any multiple of the peak, so
+    # the full-field scan runs only when some edge value is nonzero.
+    edge = field.edge_peak()
+    if edge > 0 and edge > _EDGE_TOL * np.abs(field.values).max():
         warnings.warn(
             "field has not decayed at the box edges; line-convention results are unreliable",
             EdgeLeakageWarning,
@@ -221,15 +238,79 @@ def _warn_on_edges(field: Field) -> None:
         )
 
 
+def _rows_per_block(shape: tuple[int, ...]) -> int:
+    return max(1, _BLOCK_VALUES * shape[0] // math.prod(shape))
+
+
+def _product_by_rows(out: np.ndarray, *factors) -> np.ndarray:
+    """``out = f0 * f1 * ...``, multiplied left to right a block of rows at a time.
+
+    Each factor is a scalar or an array broadcasting against ``out``; those
+    that span axis 0 are sliced with the block.  Per value the operations are
+    those of the whole-array products, so the result is the same bit for bit.
+    """
+    step = _rows_per_block(out.shape)
+    for lo in range(0, out.shape[0], step):
+        rows = slice(lo, lo + step)
+        first, second, *rest = (f[rows] if np.ndim(f) and np.shape(f)[0] > 1 else f for f in factors)
+        blk = np.multiply(first, second, out=out[rows])
+        for f in rest:
+            blk *= f
+    return out
+
+
+def _phases(grid: BoxGrid, unit: complex) -> list[np.ndarray]:
+    """``exp(unit * lambda * x0)`` along each axis, shaped to broadcast."""
+    phase = np.exp(unit * grid.frequencies() * grid.x0)
+    return [_along(phase, ax, grid.dim) for ax in range(grid.dim)]
+
+
+def _ifftn(values: np.ndarray) -> np.ndarray:
+    """``np.fft.ifftn(values)`` bit for bit, without transforming lines of +0.
+
+    The axes run last to first, as in ``ifftn``, and every line goes through
+    the same 1-D ``np.fft.ifft``.  A line whose words are all +0 transforms
+    to +0, so it is left as the +0 the output starts with; a line holding a
+    -0, a NaN or any other value is transformed.  Only the first pass scans
+    the data: a later line is all +0 when every line it crosses was skipped.
+    """
+    out = np.zeros(values.shape, dtype=complex)
+    words = np.bitwise_or.reduce(values.real.view(np.int64), axis=-1, keepdims=True)
+    words |= np.bitwise_or.reduce(values.imag.view(np.int64), axis=-1, keepdims=True)
+    live = words != 0
+    src = values
+    for ax in reversed(range(values.ndim)):
+        # A line along ``ax`` is live when it crosses a line live in the pass before.
+        live = np.any(live, axis=ax, keepdims=True)
+        _ifft_live_lines(src, out, ax, live)
+        src = out
+    return out
+
+
+def _ifft_live_lines(src: np.ndarray, out: np.ndarray, ax: int, live: np.ndarray) -> None:
+    """``np.fft.ifft`` along ``ax`` from ``src`` into ``out``, on the lines ``live`` marks.
+
+    ``live`` has size 1 along ``ax`` and broadcasts over the other axes.
+    """
+    if live.all():
+        np.fft.ifft(src, axis=ax, out=out)
+        return
+    if not live.any():
+        return
+    lines_in, lines_out = np.moveaxis(src, ax, -1), np.moveaxis(out, ax, -1)
+    picks = np.nonzero(np.broadcast_to(np.moveaxis(live, ax, -1)[..., 0], lines_in.shape[:-1]))
+    step = max(1, _BLOCK_VALUES // lines_in.shape[-1])
+    for lo in range(0, picks[0].size, step):
+        pick = tuple(p[lo:lo + step] for p in picks)
+        lines_out[pick] = np.fft.ifft(lines_in[pick], axis=-1)
+
+
 def transform(field: Field) -> SpectralField:
     """Forward transform, calibrated to ``int u exp(i lambda x) dx``."""
     g = field.grid
     _warn_on_edges(field)
-    spec = np.fft.ifftn(field.values, out=np.empty(g.shape(), dtype=complex))
-    spec *= g.length**g.dim
-    phase = np.exp(1j * g.frequencies() * g.x0)
-    for ax in range(g.dim):
-        spec *= _along(phase, ax, g.dim)
+    spec = _ifftn(field.values)
+    _product_by_rows(spec, spec, g.length**g.dim, *_phases(g, 1j))
     return SpectralField(g, spec)
 
 
@@ -237,14 +318,18 @@ class _Scratch(SpectralField):
     """A spectrum nothing else holds, which :func:`inverse` transforms in its own buffer."""
 
 
+class _Phased(SpectralField):
+    """Like :class:`_Scratch`, but the values already carry the inverse phase factors."""
+
+
 def inverse(spectral: SpectralField) -> Field:
     """Inverse transform; exact round trip with :func:`transform`."""
     g = spectral.grid
-    phase = np.exp(-1j * g.frequencies() * g.x0)
-    out = spectral.values if isinstance(spectral, _Scratch) else None
-    vals = np.multiply(spectral.values, _along(phase, 0, g.dim), out=out)
-    for ax in range(1, g.dim):
-        vals *= _along(phase, ax, g.dim)
+    if isinstance(spectral, _Phased):
+        vals = spectral.values
+    else:
+        out = spectral.values if isinstance(spectral, _Scratch) else np.empty(g.shape(), dtype=complex)
+        vals = _product_by_rows(out, spectral.values, *_phases(g, -1j))
     np.fft.fftn(vals, out=vals)
     vals /= g.length**g.dim
     return Field(g, vals)
@@ -298,8 +383,23 @@ def _shoulder(t: np.ndarray) -> np.ndarray:
     return down / (up + down)
 
 
+def _cutoff_box(grid: BoxGrid, radius: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``np.ix_`` index of the frequencies with every ``|lambda_i| <= radius + 1``, and their radii.
+
+    The box holds the cutoff's support, since ``|lambda_i|`` never exceeds
+    ``|lambda|``; its radii equal those of :meth:`BoxGrid.frequency_radii`.
+    """
+    lam = grid.frequencies()
+    keep = np.flatnonzero(np.abs(lam) <= radius + 1.0)
+    return np.ix_(*[keep] * grid.dim), _radii([_along(lam[keep], ax, grid.dim) for ax in range(grid.dim)])
+
+
 def build_cutoff(grid: BoxGrid, radius: float) -> SpectralField:
-    """Smooth radial frequency cutoff: 1 inside ``radius``, 0 beyond ``radius + 1``."""
+    """Smooth radial frequency cutoff: 1 inside ``radius``, 0 beyond ``radius + 1``.
+
+    The values are real (float64); radii and the shoulder are computed only
+    on :func:`_cutoff_box`, and the rest of the grid is 0.
+    """
     if radius <= 0:
         raise ValueError("cutoff radius must be positive")
     if radius + 1.0 > grid.nyquist:
@@ -307,12 +407,14 @@ def build_cutoff(grid: BoxGrid, radius: float) -> SpectralField:
             f"cutoff support reaches |lambda| = {radius + 1.0:g}, beyond the grid "
             f"Nyquist frequency {grid.nyquist:g}"
         )
-    rho = grid.frequency_radii()
-    chi = np.zeros(grid.shape())
-    chi[rho <= radius] = 1.0
+    box, rho = _cutoff_box(grid, radius)
+    on_box = np.zeros(rho.shape)
+    on_box[rho <= radius] = 1.0
     ramp = (rho > radius) & (rho < radius + 1.0)
-    chi[ramp] = _shoulder(rho[ramp] - radius)
-    return SpectralField(grid, chi.astype(complex))
+    on_box[ramp] = _shoulder(rho[ramp] - radius)
+    chi = np.zeros(grid.shape())
+    chi[box] = on_box
+    return SpectralField(grid, chi)
 
 
 @dataclass(frozen=True)
@@ -356,12 +458,16 @@ def build_parametrix(sym: FracSymbol, grid: BoxGrid, radius: float | None = None
     else:
         require_elliptic(sym)
     chi = build_cutoff(grid, radius)
-    p_vals = _symbol_on_grid(sym, grid)
-    live = chi.values.real < 1.0
-    e_vals = np.zeros(grid.shape(), dtype=complex)
-    np.subtract(1.0, chi.values, out=e_vals, where=live)
+    box, _ = _cutoff_box(grid, radius)
+    e_vals = _symbol_on_grid(sym, grid)
+    p_box, chi_box = e_vals[box], chi.values[box]
+    # Outside the box chi = 0 and E_hat = (1 - 0)/P; on the box the cutoff
+    # enters, and E_hat = 0 where chi = 1.
+    e_box = np.zeros(p_box.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(e_vals, p_vals, out=e_vals, where=live)
+        np.divide(1.0 + 0j, e_vals, out=e_vals)
+        np.divide(1.0 - chi_box, p_box, out=e_box, where=chi_box < 1.0)
+    e_vals[box] = e_box
     if not np.all(np.isfinite(e_vals)):
         raise NoRFound(
             f"symbol vanishes outside the cutoff radius {radius:g}; "
@@ -397,20 +503,28 @@ class SolveResult:
         ``residual_sup_outside`` is the largest residual coefficient at
         ``|lambda| > radius + 1`` (0 if the grid has none there), and the
         residual is confined when that is at most ``1e-12 * f_hat_sup``.
-        The residual is formed a block of rows at a time, never at full size.
+        Outside :func:`_cutoff_box` ``chi = 0``, so a finite ``f_hat`` leaves
+        a residual of ±0 there and only the box is scanned; a NaN or inf in
+        ``f_hat`` sends the residual scan over the whole grid, a block of
+        rows at a time.
         """
-        g = self.u.grid
+        g, radius = self.u.grid, self.parametrix.radius
         chi, f_hat = self.parametrix.chi.values, self.f_hat.values
-        first, *others = g.axis_frequencies()
-        step = max(1, _BLOCK_VALUES * g.m // math.prod(g.shape()))
-        f_sups, r_sups = [], []
-        for lo in range(0, g.m, step):
-            rows = slice(lo, lo + step)
-            outside = _radii([first[rows], *others]) > self.parametrix.radius + 1.0
-            f_sups.append(np.max(np.abs(f_hat[rows])))
-            r_sups.append(np.max(np.abs(-chi[rows] * f_hat[rows]), where=outside, initial=0.0))
+        step = _rows_per_block(g.shape())
+        blocks = [slice(lo, lo + step) for lo in range(0, g.m, step)]
         # np.max, not max(): a NaN sup must survive the reduction.
-        f_hat_sup, residual_sup = float(np.max(f_sups)), float(np.max(r_sups))
+        f_hat_sup = float(np.max([np.max(np.abs(f_hat[rows])) for rows in blocks]))
+        if math.isfinite(f_hat_sup):
+            box, rho = _cutoff_box(g, radius)
+            residual_sup = float(np.max(np.abs(-chi[box] * f_hat[box]), where=rho > radius + 1.0, initial=0.0))
+        else:
+            first, *others = g.axis_frequencies()
+            r_sups = []
+            with np.errstate(invalid="ignore"):  # 0 * inf is the NaN the triple reports
+                for rows in blocks:
+                    outside = _radii([first[rows], *others]) > radius + 1.0
+                    r_sups.append(np.max(np.abs(-chi[rows] * f_hat[rows]), where=outside, initial=0.0))
+            residual_sup = float(np.max(r_sups))
         return f_hat_sup, residual_sup, residual_sup <= 1e-12 * f_hat_sup
 
 
@@ -420,9 +534,13 @@ def solve_elliptic(sym: FracSymbol, forcing: Field, radius: float | None = None)
     The returned ``u`` satisfies ``P(D) u = f + r`` with ``r`` supported on
     frequencies below ``radius + 1``; ``r = -IFT(chi * f_hat)`` exactly.
     """
-    par = build_parametrix(sym, forcing.grid, radius)
+    g = forcing.grid
+    par = build_parametrix(sym, g, radius)
     f_hat = transform(forcing)
-    u = inverse(_Scratch(forcing.grid, par.e_hat.values * f_hat.values))
+    # E_hat * f_hat and the inverse phase factors in one pass, into the buffer inverse transforms.
+    product = _product_by_rows(np.empty(g.shape(), dtype=complex), par.e_hat.values, f_hat.values,
+                               *_phases(g, -1j))
+    u = inverse(_Phased(g, product))
     return SolveResult(u, par, f_hat)
 
 
@@ -469,7 +587,5 @@ def export_slice(field: Field, path: str | Path, index: tuple[int, ...] | None =
     if len(index) != g.dim - 1:
         raise DimensionMismatch(f"need {g.dim - 1} fixed indices for a {g.dim}-d field")
     line = field.values[(slice(None), *index)]
-    rows = ["x,re,im"]
-    for x, v in zip(field.grid.axis(), line):
-        rows.append(f"{x:.12g},{v.real:.12g},{v.imag:.12g}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    rows = map(_CSV_ROW.__mod__, zip(g.axis().tolist(), line.real.tolist(), line.imag.tolist()))
+    atomic_write_text(path, "\n".join(["x,re,im", *rows]) + "\n")

@@ -11,7 +11,6 @@ from fracpde import TooFewBands, UnreliableFitWarning, bump, gaussian, step
 from fracpde.sobolev import (
     _WINDOW_RADIUS_FRAC,
     RegularityEstimate,
-    _window_values,
     band_floor,
     estimate_regularity,
     export_shell_csv,
@@ -20,6 +19,7 @@ from fracpde.sobolev import (
     sobolev_norm,
     windowed_shells,
 )
+import fracpde.sobolev as sobolev
 from fracpde.spectral import BoxGrid, Field, SpectralField, inverse, sample_field
 
 GRID = BoxGrid(1, 4096, 40.0)
@@ -212,5 +212,9 @@ def _old_window_values(grid: BoxGrid) -> np.ndarray:
 
 class TestWindow:
     @pytest.mark.parametrize("grid", [BoxGrid(1, 256, 40.0), BoxGrid(2, 128, 40.0), BoxGrid(3, 32, 20.0)])
-    def test_separable_window_matches_meshgrid_product(self, grid):
-        assert np.array_equal(_window_values(grid), _old_window_values(grid))
+    def test_separable_window_matches_meshgrid_product(self, grid, monkeypatch):
+        # The window windowed_shells applies, axis by axis, to a field of ones.
+        seen = []
+        monkeypatch.setattr(sobolev, "shell_spectrum", lambda u, bands: seen.append(u.values))
+        windowed_shells(Field(grid, np.ones(grid.shape())), 3)
+        assert np.array_equal(seen[0], _old_window_values(grid))

@@ -22,13 +22,17 @@ from fracpde import (
     polynomial,
     step,
 )
+import fracpde.spectral as spectral
 from fracpde.spectral import (
     BoxGrid,
     Field,
     Parametrix,
+    SolveResult,
     SpectralField,
+    _CSV_ROW,
     _FILE_MAGIC,
     _Scratch,
+    _ifftn,
     apply_operator,
     build_cutoff,
     build_parametrix,
@@ -586,3 +590,190 @@ class TestSolveInPlace:
             tracemalloc.stop()
         # u, f_hat, e_hat and chi stay; the inverse runs in the product's buffer.
         assert peak <= 5 * f.values.nbytes
+
+
+def _bits(a):
+    """The words of a complex or float array, so that == also compares signed zeros."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _old_cutoff(grid, radius):
+    """The cutoff as a full-grid formula over every radius."""
+    rho = grid.frequency_radii()
+    chi = np.zeros(grid.shape())
+    chi[rho <= radius] = 1.0
+    ramp = (rho > radius) & (rho < radius + 1.0)
+    chi[ramp] = spectral._shoulder(rho[ramp] - radius)
+    return chi
+
+
+def _old_blocked_confinement(res):
+    """The scan over every block of rows with a complex cutoff."""
+    g = res.u.grid
+    chi, f_hat = res.parametrix.chi.values.astype(complex), res.f_hat.values
+    first, *others = g.axis_frequencies()
+    step_rows = max(1, spectral._BLOCK_VALUES * g.m // math.prod(g.shape()))
+    f_sups, r_sups = [], []
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, g.m, step_rows):
+            rows = slice(lo, lo + step_rows)
+            outside = spectral._radii([first[rows], *others]) > res.parametrix.radius + 1.0
+            f_sups.append(np.max(np.abs(f_hat[rows])))
+            r_sups.append(np.max(np.abs(-chi[rows] * f_hat[rows]), where=outside, initial=0.0))
+    f_hat_sup, residual_sup = float(np.max(f_sups)), float(np.max(r_sups))
+    return f_hat_sup, residual_sup, residual_sup <= 1e-12 * f_hat_sup
+
+
+def _zero_slab_cases(dim, m):
+    """Inputs with zero slabs, -0 lines, a NaN line, and nothing but zeros."""
+    rng = np.random.default_rng(dim * m)
+    shape = (m,) * dim
+    dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    slab = np.zeros(shape, dtype=complex)
+    slab[(slice(m // 4, m // 2),) * dim] = dense[(slice(m // 4, m // 2),) * dim]
+    neg = slab.copy()
+    neg[:2] = complex(-0.0, -0.0)  # two whole slabs of -0 in both parts
+    neg.imag[-1] = -0.0
+    nan_line = slab.copy()
+    nan_line[(0,) * (dim - 1)] = 0.0
+    nan_line[(1,) * dim] = np.nan
+    real_only = slab.real + 0j
+    return {"dense": dense, "slab": slab, "neg_zero": neg, "nan_line": nan_line,
+            "real_only": real_only, "all_zero": np.zeros(shape, dtype=complex),
+            "all_neg_zero": np.full(shape, complex(-0.0, -0.0))}
+
+
+class TestWorkOnSupport:
+    """Cutoff, parametrix, transform and confinement do field-sized work only where it counts."""
+
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 32), (3, 16)])
+    def test_pruned_transform_matches_ifftn_bit_for_bit(self, dim, m):
+        for name, vals in _zero_slab_cases(dim, m).items():
+            want = np.fft.ifftn(vals)
+            assert np.array_equal(_bits(_ifftn(vals)), _bits(want)), name
+            # A non-contiguous input goes through the same line scan.
+            flipped = np.ascontiguousarray(vals.T).T
+            assert np.array_equal(_bits(_ifftn(flipped)), _bits(np.fft.ifftn(flipped))), name
+
+    @pytest.mark.parametrize("m", [2**k for k in range(4, 17)])
+    def test_a_line_of_plus_zeros_transforms_to_plus_zeros(self, m):
+        # The fact that lets the pruned transform skip such lines.
+        assert not np.any(_bits(np.fft.ifft(np.zeros(m, dtype=complex))))
+
+    def test_transform_skips_zero_lines(self, monkeypatch):
+        g = BoxGrid(3, 32, 20.0)
+        f = sample_separable(g, step(-1.0, 1.0).value)
+        live = int(np.count_nonzero(step(-1.0, 1.0).value(g.axis())))
+        lines, ifft = [], np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            lines.append(a.size // g.m)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        got = transform(f)
+        monkeypatch.undo()
+        # Last axis: live^2 lines; middle axis: live * m; first axis: all m^2.
+        assert sum(lines) == live * live + live * g.m + g.m * g.m
+        want = np.fft.ifftn(f.values) * g.length**g.dim
+        phase = np.exp(1j * g.frequencies() * g.x0)
+        for ax in range(g.dim):
+            want *= phase.reshape([g.m if k == ax else 1 for k in range(g.dim)])
+        assert np.array_equal(got.values, want)
+
+    @pytest.mark.parametrize("g,radius", [(BoxGrid(1, 512, 40.0), 4.0), (BoxGrid(2, 64, 20.0), 3.0),
+                                          (BoxGrid(2, 64, 2 * math.pi), 3.0),  # R + 1 on a grid frequency
+                                          (BoxGrid(3, 32, 20.0), 2.0), (BoxGrid(2, 64, 20.0), 8.0)])
+    def test_cutoff_matches_full_grid_formula(self, g, radius):
+        chi = build_cutoff(g, radius).values
+        assert chi.dtype == np.float64
+        assert np.array_equal(_bits(chi), _bits(_old_cutoff(g, radius)))
+
+    def test_spectral_field_keeps_float64_real(self):
+        g = BoxGrid(1, 16, 4.0)
+        assert SpectralField(g, np.ones(16)).values.dtype == np.float64
+        for other in (np.ones(16, dtype=np.float32), np.ones(16, dtype=int), [1.0] * 16,
+                      np.ones(16, dtype=complex)):
+            assert SpectralField(g, other).values.dtype == np.complex128
+        assert Field(g, np.ones(16)).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("sym,g,radius", [(LAPLACE, BoxGrid(1, 512, 40.0), 4.0),  # P(0) = 0
+                                              (FRAC_LAP_2D, BoxGrid(2, 64, 20.0), 3.0),  # P(0) = 0
+                                              (MIXED_2D, BoxGrid(2, 64, 20.0), 3.0),
+                                              (PINNED_FIELDS[1][0], BoxGrid(3, 32, 20.0), 2.0)])
+    def test_parametrix_is_the_masked_division_bit_for_bit(self, sym, g, radius):
+        par = build_parametrix(sym, g, radius)
+        chi = par.chi.values
+        want = np.zeros(g.shape(), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(1.0 - chi, symbol_eval(sym, g.frequency_grid()), out=want, where=chi < 1.0)
+        assert np.array_equal(_bits(par.e_hat.values), _bits(want))
+
+    def test_omega_and_residual_spectra_equal_the_complex_cutoff_ones(self):
+        g = BoxGrid(2, 64, 20.0)
+        res = solve_elliptic(MIXED_2D, sample_separable(g, step(-1.0, 1.5).value), 3.0)
+        chi = res.parametrix.chi.values.astype(complex)
+        assert np.array_equal(res.parametrix.omega_hat.values, -chi)
+        assert np.array_equal(res.residual_spectrum.values, -chi * res.f_hat.values)
+
+    @pytest.mark.parametrize("g", [BoxGrid(2, 64, 20.0), BoxGrid(3, 32, 20.0), BoxGrid(1, 256, 40.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_confinement_matches_the_blocked_scan(self, g, bad):
+        sym = {1: LAPLACE, 2: FRAC_LAP_2D, 3: PINNED_FIELDS[1][0]}[g.dim]
+        res = solve_elliptic(sym, sample_separable(g, gaussian(0.1, 1.0).value), 2.0)
+        assert res.confinement() == _old_blocked_confinement(res)
+        # (0,...) is inside R + 1, (m/2,...) at the Nyquist corner outside it.
+        for where in [(0,) * g.dim, (1,) * g.dim, (g.m // 2,) * g.dim]:
+            f_hat = res.f_hat.values.copy()
+            f_hat[where] = bad
+            spoiled = SolveResult(res.u, res.parametrix, SpectralField(g, f_hat))
+            got, want = spoiled.confinement(), _old_blocked_confinement(spoiled)
+            assert repr(got) == repr(want), where
+
+    @pytest.mark.parametrize("dim,m,length", [(1, 1024, 40.0), (2, 128, 40.0), (3, 32, 20.0)])
+    def test_shell_energies_match_the_phase_carrying_spectrum(self, dim, m, length):
+        from fracpde.sobolev import shell_spectrum
+
+        g = BoxGrid(dim, m, length)
+        u = sample_separable(g, step(-1.3, 1.1).value)
+        got, want = shell_spectrum(u), shell_spectrum(transform(u))
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.lo_edges, want.lo_edges)
+        assert np.allclose(got.energy, want.energy, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("dim,m", [(2, 64), (3, 16)])
+    def test_separable_samples_equal_the_float_product_cast(self, dim, m):
+        # Signed factors with zeros, so the samples hold -0 as well as +0.
+        def fn(x):
+            return np.where(np.abs(x) < 2.0, np.exp(-x * x), 0.0) * np.sign(x + 0.1)
+
+        g = BoxGrid(dim, m, 10.0)
+        vals = fn(g.axis())
+        want = vals.reshape([m] + [1] * (dim - 1))
+        for ax in range(1, dim):
+            want = want * vals.reshape([m if k == ax else 1 for k in range(dim)])
+        assert np.any(np.signbit(want[want == 0]))
+        assert np.array_equal(_bits(sample_separable(g, fn).values), _bits(want.astype(complex)))
+
+
+CSV_AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, 5e-324,
+               1234567890.125, 1234567890.375, 100000000000.5, 100000000001.5, 0.1 + 0.2,
+               2.0 / 3.0, 123456789012.5, -987654321098.5]
+
+
+class TestCsvRows:
+    def test_percent_format_equals_the_f_string(self):
+        for x in CSV_AWKWARD:
+            for y in CSV_AWKWARD:
+                assert _CSV_ROW % (x, y, -y) == f"{x:.12g},{y:.12g},{-y:.12g}"
+
+    def test_export_slice_bytes(self, tmp_path):
+        g = BoxGrid(2, 32, 8.0)
+        vals = np.zeros(g.shape(), dtype=complex)
+        line = np.array(CSV_AWKWARD * 2, dtype=float)[: g.m]
+        vals.real[:, 5], vals.imag[:, 5] = line, line[::-1]
+        out = tmp_path / "slice.csv"
+        export_slice(Field(g, vals), out, index=(5,))
+        want = "x,re,im\n" + "".join(f"{x:.12g},{v.real:.12g},{v.imag:.12g}\n"
+                                     for x, v in zip(g.axis(), vals[:, 5]))
+        assert out.read_bytes() == want.encode()
