@@ -50,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, rgamma as _rgamma
 
 from .errors import (
     BranchCollision,
@@ -63,7 +62,7 @@ from .errors import (
     PoleHitWarning,
     WrongSign,
 )
-from .functions import CallableFn, FunctionSpec, SampledCurve, as_evaluable
+from .functions import CallableFn, FunctionSpec, SampledCurve, _falling, as_evaluable
 
 __all__ = [
     "DifferintOrder",
@@ -80,6 +79,21 @@ __all__ = [
 ]
 
 MINUS_INF = float("-inf")
+
+
+# scipy.special takes about 0.3 s to import, and the solve, sobolev,
+# symbol and experiment commands need no Gamma value; it is loaded at the
+# first one.
+def _gamma(z):
+    from scipy.special import gamma
+
+    return gamma(z)
+
+
+def _rgamma(z):
+    from scipy.special import rgamma
+
+    return rgamma(z)
 
 
 @dataclass(frozen=True)
@@ -397,7 +411,7 @@ def _derivative_moment_path(fe, order, x, lo, config) -> np.ndarray:
     tau, w = _unit_weights(config.subintervals, config.grading, mu)
     sigma = 1.0 - tau
     sigma_pow = [np.power(sigma, n - k) for k in range(n + 1)]
-    coef = [math.comb(n, k) * _falling_c(mu, k) for k in range(n + 1)]
+    coef = [math.comb(n, k) * _falling(mu, k) for k in range(n + 1)]
     base_col = sigma == 0.0
     s = (x - lo).astype(float)
 
@@ -414,13 +428,6 @@ def _derivative_moment_path(fe, order, x, lo, config) -> np.ndarray:
             integrand = fv * sigma_pow[k] if m else fv
             total[rows] += coef[k] * np.power(sv, mu - k) * (integrand @ w)
     return total * _rgamma(mu)
-
-
-def _falling_c(mu: complex, k: int) -> complex:
-    out = 1.0 + 0.0j
-    for j in range(k):
-        out *= mu - j
-    return out
 
 
 def _fornberg(order_d: int, nodes: np.ndarray) -> np.ndarray:

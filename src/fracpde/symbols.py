@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, NoRFound, NotElliptic
 
@@ -207,7 +206,7 @@ def _point_modulus(sym: FracSymbol):
     def modulus(lam) -> float:
         out = np.zeros(1, dtype=complex)
         for piece, alpha in terms:
-            for x, a in zip(lam, alpha):
+            for x, a in zip(lam, alpha, strict=True):
                 if a == 0:
                     continue
                 if x > 0:
@@ -261,18 +260,137 @@ def sphere_samples(dim: int, count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
-def _unit(angles: np.ndarray, dim: int) -> np.ndarray:
+def _unit(angles, dim: int) -> np.ndarray:
+    """The unit vector at ``dim - 1`` angles: polar in 2-D, spherical in 3-D, hyperspherical above."""
     if dim == 2:
         return np.array([math.cos(angles[0]), math.sin(angles[0])])
-    theta, phi = angles
-    return np.array([math.sin(phi) * math.cos(theta), math.sin(phi) * math.sin(theta), math.cos(phi)])
+    if dim == 3:
+        theta, phi = angles
+        return np.array([math.sin(phi) * math.cos(theta), math.sin(phi) * math.sin(theta), math.cos(phi)])
+    out = np.empty(dim)
+    s = 1.0
+    for k, a in enumerate(angles):
+        out[k] = s * math.cos(a)
+        s *= math.sin(a)
+    out[-1] = s
+    return out
+
+
+def _angles(d) -> list[float]:
+    """The angles ``_unit`` maps to the unit vector ``d``."""
+    if len(d) == 2:
+        return [math.atan2(d[1], d[0])]
+    if len(d) == 3:
+        return [math.atan2(d[1], d[0]), math.acos(float(np.clip(d[2], -1.0, 1.0)))]
+    angles = [math.atan2(math.hypot(*d[k + 1:]), d[k]) for k in range(len(d) - 2)]
+    angles.append(math.atan2(d[-1], d[-2]))
+    return angles
+
+
+def _nelder_mead(fn, x0, xatol: float, fatol: float, maxiter: int, bounds=None):
+    """Minimize ``fn`` with the Nelder-Mead simplex method; return ``(x, fun)``.
+
+    Nelder & Mead, *Comput. J.* 7 (1965) 308-313.  Step for step this is
+    ``scipy.optimize.minimize(fn, x0, method="Nelder-Mead", bounds=bounds,
+    options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})`` as
+    scipy 1.17 runs it, and returns the same ``x`` and ``fun`` bit for bit:
+    the same initial simplex (each coordinate times 1.05, or 0.00025 where
+    it is 0), fixed coefficients 1 / 2 / 1/2 / 1/2, the same ordering and
+    stopping test, ``fn`` called on a copy of each vertex, and ``fun`` the
+    minimum over the last simplex.  ``bounds`` holds one ``(low, high)``
+    pair per coordinate, ``None`` for no bound; every vertex is clipped to
+    the box, and initial vertices beyond an upper bound are first
+    reflected into it.
+    """
+    x0 = np.array(x0, dtype=float).reshape(-1)
+    n = x0.size
+    if bounds is None:
+        def clip(v):
+            return v
+    else:
+        lower = np.array([-np.inf if lo is None else float(lo) for lo, _ in bounds])
+        upper = np.array([np.inf if hi is None else float(hi) for _, hi in bounds])
+        if np.any(upper < lower):
+            raise ValueError("an upper bound is less than the corresponding lower bound")
+
+        def clip(v):
+            return np.clip(v, lower, upper)
+
+        x0 = clip(x0)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    if bounds is not None:
+        sim = clip(np.where(sim > upper, 2 * upper - sim, sim))
+
+    def f(v) -> float:
+        return fn(np.copy(v))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    # Sorted twice, as scipy does: argsort need not be stable, so with
+    # tied values a second sort may reorder the vertices.
+    sim, fsim = by_value(sim, fsim)
+    sim, fsim = by_value(sim, fsim)
+
+    # Reflection, expansion, contraction and shrink coefficients.
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = clip((1 + rho) * xbar - rho * sim[-1])
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = clip((1 + rho * chi) * xbar - rho * chi * sim[-1])
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = clip((1 + psi * rho) * xbar - psi * rho * sim[-1])
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = clip((1 - psi) * xbar + psi * sim[-1])
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = clip(sim[0] + sigma * (sim[j] - sim[0]))
+                fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim)
 
 
 def check_ellipticity(sym: FracSymbol, samples: int | None = None) -> EllipticityReport:
     """Scan the principal symbol on the unit sphere for zeros.
 
     A coarse sweep locates the smallest modulus; for ``dim >= 2`` the worst
-    direction is then polished with a local minimizer so that genuine zeros
+    direction is then polished over its angles with ``_nelder_mead``, a
+    private Nelder-Mead equal to scipy's bit for bit, so that genuine zeros
     between sample points are not missed.  The zero threshold scales with
     the principal coefficients.
     """
@@ -283,20 +401,13 @@ def check_ellipticity(sym: FracSymbol, samples: int | None = None) -> Ellipticit
     i0 = int(np.argmin(vals))
     best_dir, best_val = dirs[i0], float(vals[i0])
 
-    if sym.dim in (2, 3):
-        if sym.dim == 2:
-            start = np.array([math.atan2(best_dir[1], best_dir[0])])
-        else:
-            start = np.array([
-                math.atan2(best_dir[1], best_dir[0]),
-                math.acos(np.clip(best_dir[2], -1.0, 1.0)),
-            ])
+    if sym.dim >= 2:
         modulus = _point_modulus(principal)
-        res = minimize(lambda ang: modulus(_unit(ang, sym.dim)), start, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_dir = _unit(res.x, sym.dim)
+        x, fun = _nelder_mead(lambda ang: modulus(_unit(ang, sym.dim)), _angles(best_dir),
+                              xatol=1e-12, fatol=1e-14, maxiter=400)
+        if fun < best_val:
+            best_val = float(fun)
+            best_dir = _unit(x, sym.dim)
 
     return EllipticityReport(
         elliptic=best_val > threshold,
@@ -324,37 +435,34 @@ def _ratio_polish(
     """Locally minimize the bound ratio over radius (and direction).
 
     The shell scan can straddle a zero of the full symbol; this runs the
-    sampled minimum down to it.  Returns the polished value and its radius.
+    sampled minimum down to it with ``_nelder_mead`` (scipy's Nelder-Mead,
+    bit for bit), over ``log r`` in ``[lo_logr, hi_logr]`` and, for
+    ``dim >= 2``, the angles of the direction, starting from ``dir0``.
+    Returns the polished value and its radius.
     """
-    dim = sym.dim
+    x0 = [math.log(r0)]
+    if sym.dim >= 2:
+        x0 += _angles(dir0)
+    bounds = [(lo_logr, hi_logr)] + [(None, None)] * (len(x0) - 1)
+    x, fun = _nelder_mead(_ratio_objective(sym, order, dir0), x0,
+                          xatol=1e-12, fatol=1e-16, maxiter=500, bounds=bounds)
+    return float(fun), math.exp(float(np.clip(x[0], lo_logr, hi_logr)))
+
+
+def _ratio_objective(sym: FracSymbol, order: float, dir0: np.ndarray):
+    """The polish objective ``(log r, *angles) -> |sigma(r d)| / (1 + r^2)^(order/2)``.
+
+    ``d`` is the unit vector at the angles; in 1-D there are none and ``d``
+    is ``dir0``.
+    """
     modulus = _point_modulus(sym)
 
-    def ratio_at(logr: float, angles) -> float:
-        r = math.exp(logr)
-        d = dir0 if dim == 1 else _unit(angles, dim)
+    def ratio(p) -> float:
+        r = math.exp(p[0])
+        d = dir0 if sym.dim == 1 else _unit(p[1:], sym.dim)
         return modulus(r * d) / (1.0 + r * r) ** (order / 2.0)
 
-    if dim == 1:
-        x0 = [math.log(r0)]
-        bounds = [(lo_logr, hi_logr)]
-    elif dim == 2:
-        x0 = [math.log(r0), math.atan2(dir0[1], dir0[0])]
-        bounds = [(lo_logr, hi_logr), (None, None)]
-    else:
-        x0 = [
-            math.log(r0),
-            math.atan2(dir0[1], dir0[0]),
-            math.acos(float(np.clip(dir0[2], -1.0, 1.0))),
-        ]
-        bounds = [(lo_logr, hi_logr), (None, None), (None, None)]
-    res = minimize(
-        lambda p: ratio_at(p[0], p[1:]),
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 500},
-    )
-    return float(res.fun), math.exp(float(np.clip(res.x[0], lo_logr, hi_logr)))
+    return ratio
 
 
 def estimate_bounds(
@@ -370,9 +478,10 @@ def estimate_bounds(
     shells and returns the smallest scanned radius from which the infimum
     out to ``scan_max`` stays positive, with that infimum and the matching
     supremum as the constants, nudged outward by 0.1% so that fresh sample
-    points stay inside them.  Each candidate infimum is polished with a
-    local minimizer, so full-symbol zeros between shells push the radius
-    outward instead of slipping through the sampling.
+    points stay inside them.  Each candidate infimum is polished over
+    radius and direction with a private Nelder-Mead equal to scipy's bit
+    for bit, so full-symbol zeros between shells push the radius outward
+    instead of slipping through the sampling.
     """
     if radius <= 0 or scan_max <= radius:
         raise ValueError("need 0 < radius < scan_max")

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import EdgeLeakageWarning, UnknownCheckId
 from .fileio import atomic_write_text
 from .fracops import (
+    _gamma,
     DifferintOrder,
     QuadratureConfig,
     caputo_derivative,

@@ -4,6 +4,7 @@ Operator and function inputs are literal JSON strings on purpose: the
 accepted wire schema is part of the contract, so drift breaks here.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -40,6 +41,18 @@ TWO_OVER_ROOT_PI = 1.1283791670955126
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def _module_loaded_after(code: str, module: str, cwd=None) -> bool:
+    """Whether a fresh interpreter has loaded ``module`` after importing the CLI and running ``code``."""
+    # The child interpreter finds the package where this process did.
+    src = str(Path(fracpde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = f"import sys, fracpde.cli\n{code}\nprint({module!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 def _significant_digits(token: str) -> int:
@@ -140,6 +153,31 @@ class TestSymbol:
         doc = json.loads(result.output)
         assert doc["elliptic"] is False
         assert doc["bounds"] is None
+
+    # sha256 of the report bytes, taken before the polish moved from
+    # scipy.optimize.minimize to the private Nelder-Mead.
+    @pytest.mark.parametrize(
+        "op, digest",
+        [
+            (MONO_07, "1bed970e264967f15c2262075f4fd33ae18d475075eefa41e1b3b8e26af9072d"),
+            ('{"dim": 1, "terms": [{"c": [1.0, 0.0], "alpha": [2.0]}, {"c": [-100.0, 0.0], "alpha": [0.0]}]}',
+             "d823aad98cc9c1b2207e8cb9b3d6a5fa6f8e060b66ce8f6b75f33fedaca80f5e"),
+            (FRAC_LAP_2D, "7315bbc038794b0b68a64da4eab5a2f8919cefcff2144792893a21408fde636f"),
+            (SADDLE_2D, "a4c796e905c7c27953edb8f1882ef8d149ef2b65173e418d3bf51a55f8efc08d"),
+            ('{"dim": 2, "terms": [{"c": [1.0, 0.5], "alpha": [1.2, 0.0]}, {"c": [2.0, 0.0], "alpha": [0.0, 1.2]},'
+             ' {"c": [-3.0, 0.0], "alpha": [0.3, 0.0]}]}',
+             "ce85a06ed7ebb1273ffd7e3b824333d37e52d902a40df15b5669ef3ca0c4f8c6"),
+            ('{"dim": 3, "terms": [{"c": [1.0, 0.0], "alpha": [2.0, 0.0, 0.0]},'
+             ' {"c": [1.0, 0.0], "alpha": [0.0, 2.0, 0.0]}, {"c": [1.0, 0.0], "alpha": [0.0, 0.0, 2.0]},'
+             ' {"c": [-5.0, 1.0], "alpha": [0.0, 0.0, 1.0]}]}',
+             "5481c6d5ed76841a9be1498cba0fa8c97cac200ee0a9b858a99655250268d41b"),
+        ],
+        ids=["mono-1d", "zero-1d", "frac-laplacian-2d", "saddle-2d", "complex-2d", "shifted-3d"],
+    )
+    def test_report_bytes_are_pinned(self, runner, op, digest):
+        result = runner.invoke(main, ["symbol", "--op", op])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_malformed_symbol_exits_one(self, runner):
         result = runner.invoke(main, ["symbol", "--op", '{"dim": 1}'])
@@ -296,15 +334,25 @@ class TestTopLevel:
         assert result.exit_code == 2
         assert "power of two" in result.output
 
-    def test_import_leaves_scipy_signal_out(self):
-        src = str(Path(fracpde.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, fracpde.cli; print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize", "scipy.special", "scipy.linalg"])
+    def test_import_leaves_scipy_module_out(self, module):
+        assert not _module_loaded_after("", module)
+
+    @pytest.mark.parametrize(
+        "commands, loaded",
+        [
+            ([["-n", "2", "-m", "64", "-L", "20", "solve", "--op", FRAC_LAP_2D, "--forcing", "step",
+               "--output", "u.field"],
+              ["-n", "2", "-m", "64", "-L", "20", "sobolev", "--field", "u.field"]], False),
+            ([["symbol", "--op", FRAC_LAP_2D]], False),
+            ([["experiment", "regularity"]], False),
+            ([["differint", "--func", "power", "--nu", "0.5", "--at", "1"]], True),
+        ],
+        ids=["solve-sobolev", "symbol", "experiment", "differint"],
+    )
+    def test_scipy_special_loads_at_the_first_gamma_value(self, tmp_path, commands, loaded):
+        code = "".join(f"assert run_cli({argv!r}) == 0\n" for argv in commands)
+        assert _module_loaded_after(f"from fracpde.cli import run_cli\n{code}", "scipy.special", tmp_path) == loaded
 
     HALF_AT_ONE = ["differint", "--func", "power", "--nu", "0.5", "--at", "1"]
 

@@ -1,10 +1,12 @@
 """Symbol algebra, branch conventions, ellipticity detection, and bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import OptimizeWarning, minimize
 
 from fracpde import (
     DimensionMismatch,
@@ -21,7 +23,7 @@ from fracpde import (
     require_elliptic,
     symbol_eval,
 )
-from fracpde.symbols import _point_modulus
+from fracpde.symbols import _angles, _nelder_mead, _point_modulus, _ratio_objective, _unit
 
 
 def mono(dim, *alpha, c=1.0):
@@ -250,3 +252,151 @@ class TestProduct:
         lam = np.array([[1.3, -0.4]])
         scaled = symbol_eval(sym, b * lam)[0]
         assert abs(scaled) == pytest.approx(b**a * abs(symbol_eval(sym, lam)[0]), rel=1e-10)
+
+
+def _random_symbol(rng, dim):
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        alpha = tuple(float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.1, 2.5)])) for _ in range(dim))
+        c = complex(rng.normal(), rng.normal()) if rng.random() < 0.5 else rng.normal()
+        terms.append(SymbolTerm(c, alpha))
+    return FracSymbol(dim, tuple(terms))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestNelderMead:
+    """``_nelder_mead`` returns what ``scipy.optimize.minimize`` returns, bit for bit."""
+
+    @staticmethod
+    def _scipy(fn, x0, xatol, fatol, maxiter, bounds=None):
+        with warnings.catch_warnings():
+            # x0 beyond a bound: scipy warns, then clips as _nelder_mead does.
+            warnings.simplefilter("ignore", OptimizeWarning)
+            return minimize(fn, np.asarray(x0, dtype=float), method="Nelder-Mead", bounds=bounds,
+                            options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+
+    def test_polish_objectives_match_scipy(self):
+        rng = np.random.default_rng(31)
+        placements = {"unbounded": 0, "inside": 0, "on": 0, "beyond": 0}
+        for _ in range(240):
+            dim = int(rng.integers(1, 4))
+            sym = _random_symbol(rng, dim)
+            d = rng.normal(size=dim)
+            d /= np.linalg.norm(d)
+            fn = _ratio_objective(sym, order_and_gap(sym).order, d)
+            logr = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+            x0 = [logr, *(_angles(d) if dim >= 2 else [])]
+            placement = ["unbounded", "inside", "on", "beyond"][int(rng.integers(4))]
+            placements[placement] += 1
+            bounds = None
+            if placement != "unbounded":
+                hi = {"inside": logr + 1.0, "on": logr, "beyond": logr - 0.5 * rng.random()}[placement]
+                bounds = [(min(hi, logr) - 3.0, hi)] + [(None, None)] * (len(x0) - 1)
+            # Unbounded, log r may run off to where the symbol overflows.
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, fun = _nelder_mead(fn, x0, xatol=1e-12, fatol=1e-16, maxiter=500, bounds=bounds)
+                res = self._scipy(fn, x0, 1e-12, 1e-16, 500, bounds)
+            assert _bits(x) == _bits(res.x)
+            assert _bits(fun) == _bits(res.fun)
+        assert min(placements.values()) >= 40
+
+    def test_sphere_objectives_match_scipy(self):
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            dim = int(rng.integers(2, 4))
+            principal = principal_symbol(_random_symbol(rng, dim))
+            modulus = _point_modulus(principal)
+
+            def fn(ang, dim=dim, modulus=modulus):
+                return modulus(_unit(ang, dim))
+
+            x0 = rng.uniform(-3.0, 3.0, dim - 1)
+            x0[rng.random(dim - 1) < 0.2] = 0.0
+            x, fun = _nelder_mead(fn, x0, xatol=1e-12, fatol=1e-14, maxiter=400)
+            res = self._scipy(fn, x0, 1e-12, 1e-14, 400)
+            assert _bits(x) == _bits(res.x)
+            assert _bits(fun) == _bits(res.fun)
+
+    def test_stops_at_maxiter_like_scipy(self):
+        def fn(p):
+            return float((p[0] - 1.0) ** 2 + 10.0 * (p[1] - p[0] ** 2) ** 2)
+
+        for maxiter in (1, 2, 7, 40):
+            x, fun = _nelder_mead(fn, [-1.2, 1.0], xatol=1e-12, fatol=1e-16, maxiter=maxiter)
+            res = self._scipy(fn, [-1.2, 1.0], 1e-12, 1e-16, maxiter)
+            assert res.nit == maxiter
+            assert _bits(x) == _bits(res.x)
+            assert _bits(fun) == _bits(res.fun)
+
+    def test_nan_vertex_is_reported_like_scipy(self):
+        # fun is the minimum over the last simplex, so a NaN vertex makes it NaN.
+        def fn(p):
+            return math.nan if p[0] > 1.0 else float((p[0] - 2.0) ** 2 + p[1] ** 2)
+
+        for maxiter in (2, 5, 50):
+            x, fun = _nelder_mead(fn, [0.99, 0.5], xatol=1e-12, fatol=1e-16, maxiter=maxiter)
+            res = self._scipy(fn, [0.99, 0.5], 1e-12, 1e-16, maxiter)
+            assert _bits(x) == _bits(res.x)
+            assert _bits(fun) == _bits(res.fun)
+        assert math.isnan(self._scipy(fn, [0.99, 0.5], 1e-12, 1e-16, 2).fun)
+
+    def test_upper_bound_below_lower_is_rejected(self):
+        with pytest.raises(ValueError):
+            _nelder_mead(lambda p: float(p[0] ** 2), [0.0], 1e-12, 1e-16, 10, bounds=[(1.0, 0.0)])
+
+
+# sigma = |lambda|^2 - 3 lambda_4 vanishes at (0, 0, 0, 3).
+SHIFTED_4D = FracSymbol(4, tuple(SymbolTerm(1, tuple(2.0 * (i == k) for i in range(4))) for k in range(4))
+                        + (SymbolTerm(-3, (0.0, 0.0, 0.0, 1.0)),))
+
+
+class TestFourAndMoreDimensions:
+    def test_angles_invert_unit(self):
+        rng = np.random.default_rng(33)
+        for dim in (2, 3, 4, 5, 7):
+            for _ in range(20):
+                d = rng.normal(size=dim)
+                d /= np.linalg.norm(d)
+                assert np.allclose(_unit(_angles(d), dim), d, rtol=0, atol=1e-14)
+
+    def test_ratio_objective_equals_symbol_eval(self):
+        rng = np.random.default_rng(34)
+        for dim in (4, 5):
+            sym = _random_symbol(rng, dim)
+            order = order_and_gap(sym).order
+            fn = _ratio_objective(sym, order, np.eye(dim)[0])
+            for _ in range(40):
+                p = np.concatenate([[rng.uniform(-2, 4)], rng.uniform(-3, 3, dim - 1)])
+                r = math.exp(p[0])
+                lam = r * _unit(p[1:], dim)
+                want = float(np.abs(symbol_eval(sym, lam[None, :]))[0]) / (1.0 + r * r) ** (order / 2.0)
+                assert fn(p) == want
+
+    def test_objective_reads_the_fourth_axis(self):
+        fn = _ratio_objective(SHIFTED_4D, 2.0, np.eye(4)[3])
+        # At lambda = (0, 0, 0, 1): |sigma| = |1 - 3| = 2, over (1 + 1)^1.
+        assert fn([0.0, *_angles(np.eye(4)[3])]) == pytest.approx(1.0, abs=1e-15)
+        # At lambda = (0, 0, 0, 3) sigma vanishes.
+        assert fn([math.log(3.0), *_angles(np.eye(4)[3])]) < 1e-12
+
+    def test_point_modulus_rejects_a_short_point(self):
+        with pytest.raises(ValueError):
+            _point_modulus(SHIFTED_4D)(np.ones(3))
+
+    def test_bounds_radius_clears_the_zero(self):
+        est = estimate_bounds(SHIFTED_4D)
+        assert est.radius >= 3.0
+
+    def test_sphere_polish_runs_in_4d(self):
+        # Sigma_P = lambda_1 lambda_2 + lambda_3^2 + lambda_4^2 vanishes on the
+        # unit sphere wherever lambda_1 lambda_2 = -(lambda_3^2 + lambda_4^2).
+        # The 256 sampled directions miss that set by about 4e-3; only the
+        # polish reaches it.
+        sym = FracSymbol(4, (SymbolTerm(1, (1.0, 1.0, 0.0, 0.0)), SymbolTerm(1, (0.0, 0.0, 2.0, 0.0)),
+                             SymbolTerm(1, (0.0, 0.0, 0.0, 2.0))))
+        rep = check_ellipticity(sym)
+        assert not rep.elliptic
+        assert rep.min_modulus < 1e-9
