@@ -111,6 +111,13 @@ def _format_scalar(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}j"
 
 
+def _file_name(ctx, param, name: str) -> str:
+    """A file name for inside ``--outdir``: no directory part, and not empty, ``.`` or ``..``."""
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise click.BadParameter(f"{name!r} is not a plain file name inside --outdir")
+    return name
+
+
 def _ensure_outdir(cfg: RunConfig) -> Path:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     return cfg.outdir
@@ -189,6 +196,13 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
         raise click.UsageError(str(exc)) from None
     quad = cfg.verify.quadrature
     axis = cfg.box(1).axis()
+    if on_grid and not order.lower_infinite:
+        # The library's domain rule: a derivative needs x > c, an integral x >= c.
+        strict = method == "quadrature" and order.nu.real >= 0
+        start = float(axis[0])
+        if order.c > start or (strict and order.c == start):
+            raise click.UsageError(f"--grid starts at -L/2 = {start:g}; a finite base --c must lie "
+                                   f"{'below' if strict else 'at or below'} it")
     xs = np.array([at_x]) if at_x is not None else axis
 
     if method == "quadrature":
@@ -249,7 +263,7 @@ def symbol_command(cfg: RunConfig, op):
 @main.command("solve")
 @click.option("--op", required=True, help="FracSymbol JSON.")
 @click.option("--forcing", required=True, help="FunctionSpec JSON or catalog name.")
-@click.option("--output", default="solution.field", show_default=True,
+@click.option("--output", default="solution.field", show_default=True, callback=_file_name,
               help="Field file name inside the output directory.")
 @click.pass_obj
 @_computation
@@ -283,30 +297,27 @@ def solve_command(cfg: RunConfig, op, forcing, output):
 @click.option("--s", "s_order", type=float, default=None, help="Norm order to evaluate.")
 @click.option("--min-radius", default=0.0, show_default=True,
               help="Lowest shell edge used by the regularity fit.")
-@click.option("--bands-per-octave", type=click.IntRange(min=1), default=3, show_default=True)
 @click.pass_obj
 @_computation
-def sobolev_command(cfg: RunConfig, field_file, func, s_order, min_radius, bands_per_octave):
+def sobolev_command(cfg: RunConfig, field_file, func, s_order, min_radius):
     """Sobolev norm or regularity estimate of a field or catalog function."""
     if (field_file is None) == (func is None):
         raise click.UsageError("pass exactly one of --field and --func")
-    source = click.get_current_context().get_parameter_source
-    if s_order is not None and any(source(p) is not ParameterSource.DEFAULT
-                                   for p in ("min_radius", "bands_per_octave")):
-        raise click.UsageError("--min-radius and --bands-per-octave set the regularity fit; "
-                               "--s evaluates a norm and takes neither")
+    source = click.get_current_context().get_parameter_source("min_radius")
+    if s_order is not None and source is not ParameterSource.DEFAULT:
+        raise click.UsageError("--min-radius sets the regularity fit; --s evaluates a norm without one")
     u = load_field(field_file) if field_file is not None else sample_separable(
         cfg.box(), _parse_func(func).value)
     if s_order is not None:
         click.echo(_format_scalar(sobolev_norm(u, s_order)))
         return
-    est = estimate_regularity(u, bands_per_octave=bands_per_octave, min_radius=min_radius)
+    est = estimate_regularity(u, min_radius=min_radius)
     click.echo(est.to_json())
 
 
 @main.command("verify")
 @click.option("--only", default=None, help="Comma-separated check ids (default: all).")
-@click.option("--report", default="identity_report.json", show_default=True,
+@click.option("--report", default="identity_report.json", show_default=True, callback=_file_name,
               help="Report file name inside the output directory.")
 @click.pass_obj
 @_computation
@@ -338,7 +349,7 @@ def _slug(text: str) -> str:
 @experiment_group.command("regularity")
 @click.option("--matrix", default=None,
               help='JSON {"operators": [symbol...], "forcings": [spec-or-name...]}.')
-@click.option("--csv", "csv_name", default="regularity_gains.csv", show_default=True,
+@click.option("--csv", "csv_name", default="regularity_gains.csv", show_default=True, callback=_file_name,
               help="Gain table file name inside the output directory.")
 @click.pass_obj
 @_computation

@@ -14,9 +14,13 @@ def atomic_write_bytes(path: str | Path, *chunks) -> None:
 
     They go to a temp file in the target directory, which is then renamed
     into place.  Each chunk is written as it is, so a large buffer is never
-    joined into a copy first.
+    joined into a copy first.  An existing target that is not a regular
+    file (a directory, a FIFO, a device) is refused with ``ValueError``,
+    since the rename would replace it.
     """
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise ValueError(f"{path} exists and is not a regular file")
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:

@@ -80,6 +80,10 @@ __all__ = [
 
 MINUS_INF = float("-inf")
 
+# A sample mean below this fraction of the largest padded coefficient
+# counts as zero for the multiplier of a nonpositive order.
+_DC_TOL = 1e-10
+
 
 # scipy.special takes about 0.3 s to import, and the solve, sobolev,
 # symbol and experiment commands need no Gamma value; it is loaded at the
@@ -346,28 +350,19 @@ def _integral_values(f, order: DifferintOrder, x: np.ndarray, config: Quadrature
 
     support = getattr(f, "support", None)
     hi = np.minimum(xl, support[1]) if support is not None else xl
-    s = hi - lol
     res = np.zeros(xl.shape, dtype=complex)
 
     at_top = hi == xl
     if np.any(at_top):
-        tau, w = _unit_weights(config.subintervals, config.grading, mu)
-        sigma = 1.0 - tau
-        s_top, lo_top = s[at_top], lol[at_top]
-        vals = np.empty(s_top.shape, dtype=complex)
-        for rows in _row_blocks(s_top.size, tau.size):
-            sv = s_top[rows, None]
-            fv = np.asarray(f.value(lo_top[rows, None] + sv * sigma))
-            _check_finite(fv, "input")
-            vals[rows] = np.power(sv[:, 0], mu) * (fv @ w)
-        res[at_top] = vals
+        res[at_top] = _derivative_moment_path(f, 0, mu, xl[at_top], lol[at_top], config)
 
     below = ~at_top
     if np.any(below):
         # Kernel is smooth on [x-hi, x-lo]; same rule, shifted nodes.
         res[below] = _shifted_rule(f, xl[below], (xl - hi)[below], (xl - lol)[below], mu, config)
+        res[below] *= _rgamma(mu)
 
-    out[live] = res * _rgamma(mu)
+    out[live] = res
     return out
 
 
@@ -404,10 +399,12 @@ def rl_integral(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_
     return vals[0] if scalar else vals
 
 
-def _derivative_moment_path(fe, order, x, lo, config) -> np.ndarray:
-    """Exact d^n/dx^n of the product-integration formula (nodes affine in x)."""
-    n = order.n
-    mu = _real_if_real(n - order.nu)
+def _derivative_moment_path(fe, n: int, mu, x, lo, config) -> np.ndarray:
+    """Exact d^n/dx^n of the product-integration formula of kernel order ``mu`` on ``[lo, x]``.
+
+    The nodes are affine in ``x``; at ``n = 0`` this is the fixed-base
+    integral itself.
+    """
     tau, w = _unit_weights(config.subintervals, config.grading, mu)
     sigma = 1.0 - tau
     sigma_pow = [np.power(sigma, n - k) for k in range(n + 1)]
@@ -421,7 +418,7 @@ def _derivative_moment_path(fe, order, x, lo, config) -> np.ndarray:
         z = lo[rows, None] + sv[:, None] * sigma
         for k in range(n + 1):
             m = n - k
-            fv = np.asarray(fe.derivative_values(z, m))
+            fv = np.asarray(fe.derivative_values(z, m) if m else fe.value(z))
             if m >= 1:
                 fv = np.where(base_col, 0.0, fv)  # sigma^m * f^(m) -> 0 at the pinned base node
             _check_finite(fv, "input" if m == 0 else f"derivative of order {m}")
@@ -526,7 +523,7 @@ def _inside_support_derivative(fe, order, inner, pts, lo, config) -> np.ndarray:
     n = order.n
     if fe.derivative_cap >= n and fe.smooth_order_on(float(np.min(lo)), float(np.max(pts))) >= n:
         try:
-            return _derivative_moment_path(fe, order, pts, lo, config)
+            return _derivative_moment_path(fe, n, _real_if_real(n - order.nu), pts, lo, config)
         except NotSmoothEnough:
             pass
     return _stencil_path(fe, order, inner, pts, float(np.min(pts - lo)), config)
@@ -610,15 +607,14 @@ def hankel_differintegral(
     *,
     loop_radius: float | None = None,
     nodes: int = 4096,
-    offset: float | None = None,
 ):
     """Differintegral via the Cauchy-type loop integral.
 
     The contour is a keyhole around the cut ``[c, x]``: straight segments
-    just below and above the cut from the base point to a circle of radius
-    ``loop_radius`` traversed counter-clockwise once around ``x``.  Needs
-    ``f`` analytic in a neighbourhood of ``[c, x]`` containing the loop and
-    ``nu`` not a negative integer.
+    a tenth of ``loop_radius`` below and above the cut from the base point
+    to a circle of radius ``loop_radius`` traversed counter-clockwise once
+    around ``x``.  Needs ``f`` analytic in a neighbourhood of ``[c, x]``
+    containing the loop and ``nu`` not a negative integer.
     """
     nu = complex(order.nu)
     if nu.imag == 0 and nu.real < 0 and nu.real == round(nu.real):
@@ -634,7 +630,7 @@ def hankel_differintegral(
         raise BranchCollision("loop radius reaches the base point")
     if r <= 0:
         raise ValueError("loop radius must be positive")
-    delta = offset if offset is not None else r / 10.0
+    delta = r / 10.0
     if not getattr(f, "analytic", False) or not f.analytic_near(c, x, margin=2.0 * delta):
         raise NotAnalytic("loop integral needs f analytic in a neighbourhood of [c, x]")
 
@@ -721,7 +717,6 @@ def fourier_differint(
     nu: complex,
     *,
     pad_factor: int = 32,
-    dc_tol: float = 1e-10,
     edge_tol: float = 1e-8,
 ) -> SampledCurve:
     """Whole-line differintegral of uniform samples by Fourier multiplier.
@@ -743,7 +738,8 @@ def fourier_differint(
     The zero-frequency coefficient is annihilated for ``Re(nu) > 0`` and is
     only acceptable for ``Re(nu) <= 0`` (``nu != 0``) when the sample mean
     vanishes; otherwise ``DCUndefined`` is raised.  That guard compares the
-    mean with the largest coefficient of the padded ``N``-point spectrum.
+    mean with 1e-10 times the largest coefficient of the padded ``N``-point
+    spectrum.
     """
     nu = complex(nu)
     vals = u.values
@@ -757,7 +753,7 @@ def fourier_differint(
     big = m * pad_factor
     if nu != 0 and nu.real <= 0 and peak > 0:
         spec = np.fft.ifft(vals, big)
-        if abs(spec[0]) > dc_tol * np.max(np.abs(spec)):
+        if abs(spec[0]) > _DC_TOL * np.max(np.abs(spec)):
             raise DCUndefined("nonzero mean cannot be divided by 0^nu; remove the DC part first")
         del spec
 

@@ -7,6 +7,9 @@ can be read off a log-log fit of the shell spectrum.  The estimator always
 applies a smooth interior window first: regularity is a local notion, and
 the window suppresses wrap-around of slowly decaying tails.
 
+The shell resolution is fixed: 3 bands per octave, and the fit runs over
+the top 5 octaves of live shells.
+
 Fields smooth enough to push their shell energies to the floating-point
 floor before the top shell have no finite exponent to report; they come
 back ``capped`` with an infinite ``s_star``.
@@ -33,7 +36,6 @@ __all__ = [
     "sobolev_norm",
     "shell_spectrum",
     "windowed_shells",
-    "band_floor",
     "fit_regularity",
     "estimate_regularity",
     "export_shell_csv",
@@ -42,6 +44,13 @@ __all__ = [
 # Band energies at or below this fraction of the peak band are treated as
 # numerically dead; they mark super-polynomial decay, not a power law.
 _FLOOR_RATIO = 1e-28
+
+# Dyadic shells split into this many geometric bands per octave.
+_BANDS_PER_OCTAVE = 3
+
+# The power-law fit reads the top this-many octaves of live shells, where
+# the spectrum has shaken off its low-frequency shoulder.
+_FIT_OCTAVES = 5.0
 
 # The window must vanish at the box edges yet stay clear of the features
 # near the center; 3/4 of the half-box does both on every fixture here.
@@ -88,24 +97,28 @@ class ShellSpectrum:
         return len(self.energy)
 
     def floor(self) -> float:
-        """Dead-band energy threshold implied by the peak shell."""
+        """Dead-band energy threshold implied by the peak shell.
+
+        Pass a forcing's floor as ``floor`` when estimating a field derived
+        from it: a solution computed from a forcing carries the forcing's
+        rounding noise, not its own, so its dead bands must be judged on
+        the forcing's scale.
+        """
         return _FLOOR_RATIO * float(self.energy.max())
 
 
-def shell_spectrum(u, bands_per_octave: int = 3) -> ShellSpectrum:
+def shell_spectrum(u) -> ShellSpectrum:
     """Band-averaged energy spectrum between the 4th bin and 3/4 Nyquist.
 
     The first three frequency bins reflect box truncation and the top
     quarter of the band reflects aliasing; both are excluded.
     """
-    if bands_per_octave < 1:
-        raise ValueError("bands_per_octave must be at least 1")
     g = u.grid
     lo = 4.0 * (2.0 * math.pi / g.length)
     hi = 0.75 * g.nyquist
     if hi <= lo:
         raise TooFewBands("grid resolves no frequencies between the DC guard and 3/4 Nyquist")
-    n_bands = max(int(round(bands_per_octave * math.log2(hi / lo))), 1)
+    n_bands = max(int(round(_BANDS_PER_OCTAVE * math.log2(hi / lo))), 1)
     edges = np.geomspace(lo, hi, n_bands + 1)
     if isinstance(u, SpectralField):
         spec, scale = u.values, 1.0
@@ -175,7 +188,7 @@ def _window_axis(grid: BoxGrid) -> np.ndarray:
     return np.asarray(w.value(grid.axis()), dtype=float)
 
 
-def windowed_shells(u: Field, bands_per_octave: int = 3) -> ShellSpectrum:
+def windowed_shells(u: Field) -> ShellSpectrum:
     """Shell spectrum of the windowed field, exactly as the estimator fits it.
 
     The window is the product of the real 1-D window over the axes; it is
@@ -191,56 +204,35 @@ def windowed_shells(u: Field, bands_per_octave: int = 3) -> ShellSpectrum:
         for ax in range(1, g.dim):
             win = win * _along(w, ax, g.dim)
         np.multiply(u.values[rows], win, out=vals[rows])
-    return shell_spectrum(Field(g, vals), bands_per_octave)
-
-
-def band_floor(u: Field, bands_per_octave: int = 3) -> float:
-    """Dead-band energy threshold implied by a field's own peak shell.
-
-    Pass the result as ``floor`` when estimating a field derived from this
-    one: a solution computed from a forcing carries the forcing's rounding
-    noise, not its own, so its dead bands must be judged on the forcing's
-    scale.
-    """
-    return windowed_shells(u, bands_per_octave).floor()
+    return shell_spectrum(Field(g, vals))
 
 
 def estimate_regularity(
-    u: Field,
-    bands_per_octave: int = 3,
-    fit_octaves: float = 5.0,
-    min_radius: float = 0.0,
-    floor: float | None = None,
+    u: Field, *, min_radius: float = 0.0, floor: float | None = None
 ) -> RegularityEstimate:
     """Fit the spectral decay exponent of the windowed field.
 
     :func:`fit_regularity` on :func:`windowed_shells` of ``u``; see there
-    for ``fit_octaves``, ``min_radius`` and ``floor``.
+    for ``min_radius`` and ``floor``.
     """
-    return fit_regularity(
-        windowed_shells(u, bands_per_octave),
-        u.grid.dim,
-        fit_octaves=fit_octaves,
-        min_radius=min_radius,
-        floor=floor,
-    )
+    return fit_regularity(windowed_shells(u), u.grid.dim, min_radius=min_radius, floor=floor)
 
 
 def fit_regularity(
     shells: ShellSpectrum,
     dim: int,
-    fit_octaves: float = 5.0,
+    *,
     min_radius: float = 0.0,
     floor: float | None = None,
 ) -> RegularityEstimate:
     """Fit the decay exponent of a windowed shell spectrum of a ``dim``-d field.
 
-    The fit runs over the top ``fit_octaves`` octaves of live shells, where
-    the power law has shaken off its low-frequency shoulder.  ``min_radius``
+    The fit runs over the top 5 octaves of live shells.  ``min_radius``
     lifts the usable range above, say, a parametrix cutoff whose plateau
     empties the low bands.  ``floor`` overrides the dead-band threshold
-    (default: ``shells.floor()``); see :func:`band_floor`.  Estimates with
-    a poor fit come back flagged (and warned about), not raised.
+    (default: ``shells.floor()``); see :meth:`ShellSpectrum.floor`.
+    Estimates with a poor fit come back flagged (and warned about), not
+    raised.
     """
     centers = shells.centers()
     sel = np.flatnonzero(shells.lo_edges >= min_radius)
@@ -261,9 +253,9 @@ def fit_regularity(
 
     live = sel[~floored]
     top = centers[live[-1]]
-    fit_idx = live[centers[live] >= top / 2.0**fit_octaves]
+    fit_idx = live[centers[live] >= top / 2.0**_FIT_OCTAVES]
     if fit_idx.size < 4:
-        raise TooFewBands(f"only {fit_idx.size} shells in the top {fit_octaves:g} octaves")
+        raise TooFewBands(f"only {fit_idx.size} shells in the top {_FIT_OCTAVES:g} octaves")
 
     x = np.log(centers[fit_idx])
     y = np.log(shells.energy[fit_idx])

@@ -41,6 +41,11 @@ __all__ = [
 
 _ORDER_DIGITS = 12
 
+# Directions per dimension on the unit sphere for the ellipticity and bound
+# scans, and log-spaced shells in the bound scan.
+_DIRECTIONS_PER_DIM = 64
+_SCAN_RADII = 192
+
 
 @dataclass(frozen=True)
 class SymbolTerm:
@@ -245,7 +250,7 @@ def sphere_samples(dim: int, count: int) -> np.ndarray:
     """Well-spread unit vectors: endpoints, a circle, or a Fibonacci sphere."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    count = max(count, 64 * dim)
+    count = max(count, _DIRECTIONS_PER_DIM * dim)
     if dim == 2:
         theta = 2.0 * math.pi * np.arange(count) / count
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -381,7 +386,7 @@ def _nelder_mead(fn, x0, xatol: float, fatol: float, maxiter: int, bounds=None):
     return sim[0], np.min(fsim)
 
 
-def check_ellipticity(sym: FracSymbol, samples: int | None = None) -> EllipticityReport:
+def check_ellipticity(sym: FracSymbol) -> EllipticityReport:
     """Scan the principal symbol on the unit sphere for zeros.
 
     A coarse sweep locates the smallest modulus; for ``dim >= 2`` the worst
@@ -392,7 +397,7 @@ def check_ellipticity(sym: FracSymbol, samples: int | None = None) -> Ellipticit
     """
     principal = principal_symbol(sym)
     threshold = 1e-9 * principal.coefficient_scale()
-    dirs = sphere_samples(sym.dim, samples if samples is not None else 64 * sym.dim)
+    dirs = sphere_samples(sym.dim, _DIRECTIONS_PER_DIM * sym.dim)
     vals = np.abs(symbol_eval(principal, dirs))
     i0 = int(np.argmin(vals))
     best_dir, best_val = dirs[i0], float(vals[i0])
@@ -465,8 +470,6 @@ def estimate_bounds(
     sym: FracSymbol,
     radius: float = 1.0,
     scan_max: float = 1e4,
-    n_radii: int = 192,
-    samples: int | None = None,
 ) -> BoundsEstimate:
     """Sampled ellipticity constants outside the smallest viable radius.
 
@@ -484,13 +487,13 @@ def estimate_bounds(
     require_elliptic(sym)
     info = order_and_gap(sym)
     threshold = 1e-9 * sym.coefficient_scale()
-    dirs = sphere_samples(sym.dim, samples if samples is not None else 64 * sym.dim)
-    radii = np.logspace(math.log10(radius), math.log10(scan_max), n_radii)
+    dirs = sphere_samples(sym.dim, _DIRECTIONS_PER_DIM * sym.dim)
+    radii = np.logspace(math.log10(radius), math.log10(scan_max), _SCAN_RADII)
     lam = radii[:, None, None] * dirs[None, :, :]
     ratio = np.abs(symbol_eval(sym, lam)) / (1.0 + radii**2)[:, None] ** (info.order / 2.0)
     hi_logr = math.log(scan_max)
     k = 0
-    while k < n_radii:
+    while k < _SCAN_RADII:
         block = ratio[k:]
         i, j = np.unravel_index(int(np.argmin(block)), block.shape)
         grid_val = float(block[i, j])

@@ -71,11 +71,11 @@ class VerifyConfig:
     every quadrature engine call; the refined checks (``cauchy_equiv``,
     ``schwartz_conv``) derive theirs from it with four times the
     subintervals, keeping its grading and tail truncation.
-    ``cutoff_radius`` is the parametrix cutoff of the gain experiment,
-    ``bands_per_octave`` its shell resolution, and ``gain_tolerance_1d`` /
-    ``gain_tolerance_2d`` the allowed ``|gain - order|`` on 1-D and on
-    higher-dimensional rows.  The values are checked at construction and
-    raise ``ValueError`` with the message the command line reports.
+    ``cutoff_radius`` is the parametrix cutoff of the gain experiment, and
+    ``gain_tolerance_1d`` / ``gain_tolerance_2d`` the allowed
+    ``|gain - order|`` on 1-D and on higher-dimensional rows.  The values
+    are checked at construction and raise ``ValueError`` with the message
+    the command line reports.
     """
 
     grid_m: int = 4096
@@ -83,7 +83,6 @@ class VerifyConfig:
     grid_m_2d: int = 512
     cutoff_radius: float = 4.0
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-    bands_per_octave: int = 3
     gain_tolerance_1d: float = 0.15
     gain_tolerance_2d: float = 0.2
 
@@ -92,8 +91,6 @@ class VerifyConfig:
         self.box(2)
         if not self.cutoff_radius > 0:
             raise ValueError("cutoff radius must be positive")
-        if self.bands_per_octave < 1:
-            raise ValueError("bands_per_octave must be at least 1")
         if not (self.gain_tolerance_1d > 0 and self.gain_tolerance_2d > 0):
             raise ValueError("gain tolerances must be positive")
 
@@ -475,9 +472,9 @@ def run_commutator_check(
     comm = Field(grid, d_phi_u.values - phi_vals * apply_operator(sym, u).values)
 
     if t is None:
-        t = estimate_regularity(u, bands_per_octave=cfg.bands_per_octave).s_star
-    est_comm = estimate_regularity(comm, bands_per_octave=cfg.bands_per_octave)
-    est_rough = estimate_regularity(d_phi_u, bands_per_octave=cfg.bands_per_octave)
+        t = estimate_regularity(u).s_star
+    est_comm = estimate_regularity(comm)
+    est_rough = estimate_regularity(d_phi_u)
     want_comm = (t - alpha + 1.0) - 0.2
     cap_rough = (t - alpha) + 0.2
     violation = max(want_comm - est_comm.s_star, est_rough.s_star - cap_rough, 0.0)
@@ -584,7 +581,7 @@ def run_regularity_experiment(
             f = sample_separable(grid, f_spec.value)
             res = solve_elliptic(sym, f, radius)
             residual_ok = res.confinement()[2]
-            sh_f = windowed_shells(f, cfg.bands_per_octave)
+            sh_f = windowed_shells(f)
             est_f = fit_regularity(sh_f, grid.dim, min_radius=min_radius)
             with warnings.catch_warnings():
                 # The solution inherits slow tails from the cutoff kernel;
@@ -593,7 +590,7 @@ def run_regularity_experiment(
                 # forcing's rounding noise by the symbol, so the solution's
                 # own peak says nothing about where noise begins.
                 warnings.simplefilter("ignore", EdgeLeakageWarning)
-                sh_u = windowed_shells(res.u, cfg.bands_per_octave)
+                sh_u = windowed_shells(res.u)
                 est_u = fit_regularity(sh_u, grid.dim, min_radius=min_radius, floor=sh_f.floor())
             capped = est_f.capped or est_u.capped
             if capped:

@@ -8,17 +8,21 @@ import hashlib
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import fracpde
 from fracpde.cli import main, run_cli
-from fracpde.fracops import QuadratureConfig, fourier_differint
-from fracpde.functions import SampledCurve, gaussian, step
+from fracpde.fileio import atomic_write_bytes
+from fracpde.fracops import DifferintOrder, QuadratureConfig, differint, fourier_differint
+from fracpde.functions import SampledCurve, bump, gaussian, step
 from fracpde.sobolev import estimate_regularity
 from fracpde.spectral import BoxGrid, sample_field, solve_elliptic
 from fracpde.symbols import FracSymbol
@@ -129,6 +133,39 @@ class TestDifferint:
         assert result.exit_code == 2
         assert message in result.output
 
+    def test_grid_with_the_base_inside_the_box_fails_before_evaluation(self, runner, monkeypatch):
+        import fracpde.cli as cli
+
+        monkeypatch.setattr(cli, "differint", lambda *args, **kwargs: pytest.fail("evaluated"))
+        result = runner.invoke(main, ["differint", "--func", "bump", "--nu", "0.5", "--c", "0", "--grid"])
+        assert result.exit_code == 2
+        assert "-L/2" in result.output
+
+    # The grid starts at -L/2 = -10: a derivative needs every x > c, an
+    # integral (and a Caputo derivative, an integral of f') allows x = c.
+    @pytest.mark.parametrize("nu, base, method, code", [
+        ("0.5", "-10", "quadrature", 2),
+        ("-0.5", "-9.5", "quadrature", 2),
+        ("0.5", "-9.5", "caputo", 2),
+        ("-0.5", "-10", "quadrature", 0),
+        ("0.5", "-10", "caputo", 0),
+        ("0.5", "-10.5", "quadrature", 0),
+    ])
+    def test_grid_base_follows_the_library_domain_rule(self, runner, nu, base, method, code):
+        result = runner.invoke(main, ["-m", "64", "-L", "20", "differint", "--func", "bump",
+                                      "--nu", nu, "--c", base, "--method", method, "--grid"])
+        assert result.exit_code == code, result.output
+        assert ("-L/2" in result.output) == (code == 2)
+
+    def test_grid_below_the_box_matches_the_library(self, runner):
+        result = runner.invoke(main, ["-m", "64", "differint", "--func", "bump", "--nu", "0.5",
+                                      "--c", "-30", "--grid"])
+        assert result.exit_code == 0
+        xs = BoxGrid(1, 64, 40.0).axis()
+        vals = differint(bump(0.0, 1.0), DifferintOrder(0.5, -30.0), xs)
+        want = "x,re,im\n" + "".join(f"{x:.12g},{v.real:.12g},{v.imag:.12g}\n" for x, v in zip(xs, vals))
+        assert result.output == want
+
     def test_unknown_function_reports_error_class(self, runner):
         result = runner.invoke(
             main, ["differint", "--func", "nosuch", "--nu", "0.5", "--at", "1"])
@@ -207,7 +244,7 @@ class TestSolveAndSobolev:
         grid = BoxGrid(1, 4096, 40.0)
         f = sample_field(grid, step(-1.0, 1.0).value)
         res = solve_elliptic(FracSymbol.from_json(MONO_07), f, 4.0)
-        expected = estimate_regularity(res.u, bands_per_octave=3, min_radius=10.0)
+        expected = estimate_regularity(res.u, min_radius=10.0)
         assert est_cli.output.strip() == expected.to_json()
 
     def test_solve_json_is_pinned(self, runner, tmp_path):
@@ -246,18 +283,30 @@ class TestSolveAndSobolev:
         result = runner.invoke(main, ["sobolev"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("option", [["--min-radius", "50"], ["--bands-per-octave", "7"],
-                                        ["--min-radius", "0"]])
+    @pytest.mark.parametrize("option", [["--min-radius", "50"], ["--min-radius", "0"]])
     def test_norm_order_with_fit_options_is_usage_error(self, runner, option):
         result = runner.invoke(main, ["-m", "256", "sobolev", "--func", "gaussian", "--s", "1", *option])
         assert result.exit_code == 2
         assert "--s evaluates a norm" in result.output
 
-    def test_zero_bands_per_octave_is_usage_error(self, runner):
+    def test_bands_per_octave_option_is_gone(self, runner):
         result = runner.invoke(
-            main, ["-m", "256", "sobolev", "--func", "gaussian", "--bands-per-octave", "0"])
+            main, ["-m", "256", "sobolev", "--func", "gaussian", "--bands-per-octave", "3"])
         assert result.exit_code == 2
-        assert "--bands-per-octave" in result.output
+        assert "No such option" in result.output
+
+    # sha256 of the report bytes, taken while the shell resolution was still
+    # a parameter (3 bands per octave, 5 fit octaves by default).
+    @pytest.mark.parametrize("args, digest", [
+        (["sobolev", "--func", "step"],
+         "3324bedd561f7ca82c140773aec5cf96d9776ea485332dd90096d07bbcc278cb"),
+        (["-n", "2", "-m", "512", "sobolev", "--func", "step", "--min-radius", "4"],
+         "6b58da3037f35e37bf7a9c19c8b0aed40bec6e4244d9df1373f60df2a0e71dc0"),
+    ], ids=["step-1d", "step-2d-min-radius"])
+    def test_regularity_report_bytes_are_pinned(self, runner, args, digest):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:
@@ -321,7 +370,69 @@ class TestExperimentCommand:
         assert (tmp_path / "regularity_gains.csv").exists()
 
 
+class TestOutputFiles:
+    # Each command that writes a named file, with the name option last.
+    COMMANDS = {
+        "verify": ["verify", "--only", "power_rule", "--report"],
+        "experiment": ["experiment", "regularity", "--matrix",
+                       json.dumps({"operators": [json.loads(MONO_05)], "forcings": ["step"]}), "--csv"],
+        "solve": ["-R", "4", "solve", "--op", MONO_07, "--forcing", "step", "--output"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("name", ["../x.json", "sub/x.json", "x.json/", "", ".", "..", "ABSOLUTE"])
+    def test_name_outside_the_outdir_is_usage_error(self, runner, tmp_path, command, name):
+        outdir = tmp_path / "out"
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "x.json")
+        result = runner.invoke(main, ["--outdir", str(outdir), *self.COMMANDS[command], name])
+        assert result.exit_code == 2
+        assert "is not a plain file name inside --outdir" in result.output
+        assert not (tmp_path / "x.json").exists() and not outdir.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_existing_target_that_is_not_a_file_is_kept(self, runner, tmp_path, command, kind):
+        target = tmp_path / "target"
+        target.mkdir() if kind == "directory" else os.mkfifo(target)
+        mode = os.stat(target).st_mode
+        result = runner.invoke(main, ["--outdir", str(tmp_path), *self.COMMANDS[command], "target"])
+        assert result.exit_code == 1
+        assert "ValueError" in result.stderr and "not a regular file" in result.stderr
+        assert os.stat(target).st_mode == mode
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".target.")) == []
+
+    def test_atomic_write_refuses_a_fifo_and_replaces_a_file(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        with pytest.raises(ValueError, match="not a regular file"):
+            atomic_write_bytes(fifo, b"data")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"old")
+        atomic_write_bytes(plain, b"new")
+        assert plain.read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "plain"]
+
+
+def _long_options(command: click.Command) -> set[str]:
+    """Long options of ``command`` and of every subcommand under it."""
+    opts = {opt for param in command.get_params(click.Context(command))
+            for opt in (*param.opts, *param.secondary_opts) if opt.startswith("--")}
+    for sub in getattr(command, "commands", {}).values():
+        opts |= _long_options(sub)
+    return opts
+
+
 class TestTopLevel:
+    def test_readme_command_line_section_matches_the_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        group = {opt for param in main.params for opt in param.opts if opt.startswith("--")}
+        assert group - named == set(), "group options missing from README"
+        assert named - _long_options(main) == set(), "README names options the CLI lacks"
+
     def test_module_entry_point(self):
         # The child interpreter finds the package where this process did.
         src = str(Path(fracpde.__file__).resolve().parents[1])

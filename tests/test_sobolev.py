@@ -11,7 +11,6 @@ from fracpde import TooFewBands, UnreliableFitWarning, bump, gaussian, step
 from fracpde.sobolev import (
     _WINDOW_RADIUS_FRAC,
     RegularityEstimate,
-    band_floor,
     estimate_regularity,
     export_shell_csv,
     fit_regularity,
@@ -79,21 +78,18 @@ class TestShells:
         assert np.all(shells.counts >= 1)
         assert np.all(shells.lo_edges < shells.hi_edges)
 
-    def test_empty_bands_are_omitted(self):
+    def test_empty_bands_are_omitted(self, monkeypatch):
         # Coarse grid, fine banding: several shells trap no frequency.
+        monkeypatch.setattr(sobolev, "_BANDS_PER_OCTAVE", 6)
         g = BoxGrid(1, 32, 4.0)
         u = sample_field(g, lambda x: np.exp(-8 * x**2))
-        shells = shell_spectrum(u, bands_per_octave=6)
+        shells = shell_spectrum(u)
         assert np.all(shells.counts >= 1)
         assert len(shells) < 6 * math.log2((0.75 * g.nyquist) / (8 * math.pi / g.length)) + 1
 
     def test_too_few_bands(self):
         with pytest.raises(TooFewBands):
             shell_spectrum(sample_field(BoxGrid(1, 16, 10.0), gaussian(0, 0.6).value))
-
-    def test_banding_validation(self):
-        with pytest.raises(ValueError):
-            shell_spectrum(sample_field(GRID, gaussian(0, 1).value), bands_per_octave=0)
 
     def test_csv_export(self, tmp_path):
         shells = shell_spectrum(sample_field(GRID, step(-1.0, 1.0).value))
@@ -181,17 +177,15 @@ class TestEstimate:
         "field, kwargs",
         [
             (sample_field(GRID, step(-1.0, 1.0).value), {}),
-            (sample_field(GRID, step(-1.0, 1.0).value), {"min_radius": 12.0, "fit_octaves": 3.0}),
+            (sample_field(GRID, step(-1.0, 1.0).value), {"min_radius": 12.0}),
             (synthetic(GRID, 2.0), {"floor": 1e-30}),
             (sample_field(GRID, gaussian(0, 1).value), {}),
             (sample_field(BoxGrid(2, 256, 40.0), lambda x, y: (np.abs(x) <= 1.0) * np.exp(-y * y)), {}),
         ],
     )
     def test_shell_level_fit_equals_field_fit(self, field, kwargs):
-        shells = windowed_shells(field, 3)
-        want = estimate_regularity(field, 3, **kwargs)
-        assert fit_regularity(shells, field.grid.dim, **kwargs) == want
-        assert shells.floor() == band_floor(field, 3)
+        want = estimate_regularity(field, **kwargs)
+        assert fit_regularity(windowed_shells(field), field.grid.dim, **kwargs) == want
 
     def test_band_count_property(self):
         est = RegularityEstimate(2.0, 0.5, 0.99, False, (3, 9), 1)
@@ -215,6 +209,6 @@ class TestWindow:
     def test_separable_window_matches_meshgrid_product(self, grid, monkeypatch):
         # The window windowed_shells applies, axis by axis, to a field of ones.
         seen = []
-        monkeypatch.setattr(sobolev, "shell_spectrum", lambda u, bands: seen.append(u.values))
-        windowed_shells(Field(grid, np.ones(grid.shape())), 3)
+        monkeypatch.setattr(sobolev, "shell_spectrum", lambda u: seen.append(u.values))
+        windowed_shells(Field(grid, np.ones(grid.shape())))
         assert np.array_equal(seen[0], _old_window_values(grid))

@@ -8,7 +8,7 @@ import pytest
 from fracpde import NotElliptic, UnknownCheckId, gaussian, step
 from fracpde import verify
 from fracpde.fracops import QuadratureConfig
-from fracpde.sobolev import band_floor, estimate_regularity
+from fracpde.sobolev import estimate_regularity, windowed_shells
 from fracpde.spectral import sample_separable, solve_elliptic
 from fracpde.symbols import FracSymbol, SymbolTerm
 from fracpde.verify import (
@@ -142,7 +142,6 @@ class TestVerifyConfig:
         ("grid_length", math.nan, "box length must be positive"),
         ("cutoff_radius", 0.0, "cutoff radius must be positive"),
         ("cutoff_radius", math.nan, "cutoff radius must be positive"),
-        ("bands_per_octave", 0, "bands_per_octave must be at least 1"),
         ("gain_tolerance_1d", -1.0, "gain tolerances must be positive"),
         ("gain_tolerance_2d", 0.0, "gain tolerances must be positive"),
         ("gain_tolerance_2d", math.nan, "gain tolerances must be positive"),
@@ -234,12 +233,11 @@ class TestExperiment:
 
         # Each row against the fits run on the fields themselves.
         min_radius = 2.0 * (cfg.cutoff_radius + 1.0)
-        bpo = cfg.bands_per_octave
         for row, f_spec in zip(got, forcings):
             f = sample_separable(cfg.box(1), f_spec.value)
             u = solve_elliptic(op, f, cfg.cutoff_radius).u
-            est_f = estimate_regularity(f, bpo, min_radius=min_radius)
-            est_u = estimate_regularity(u, bpo, min_radius=min_radius, floor=band_floor(f, bpo))
+            est_f = estimate_regularity(f, min_radius=min_radius)
+            est_u = estimate_regularity(u, min_radius=min_radius, floor=windowed_shells(f).floor())
             assert (row.s_f, row.s_u) == (est_f.s_star, est_u.s_star)
             assert row.capped == (est_f.capped or est_u.capped)
             assert row.reliable == (est_f.reliable and est_u.reliable)
