@@ -283,7 +283,8 @@ class TestSolveAndSobolev:
         result = runner.invoke(main, ["sobolev"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("option", [["--min-radius", "50"], ["--min-radius", "0"]])
+    @pytest.mark.parametrize("option", [["--min-radius", "50"], ["--min-radius=7"],
+                                        ["--min-radius", "0"]])
     def test_norm_order_with_fit_options_is_usage_error(self, runner, option):
         result = runner.invoke(main, ["-m", "256", "sobolev", "--func", "gaussian", "--s", "1", *option])
         assert result.exit_code == 2
