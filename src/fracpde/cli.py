@@ -23,7 +23,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .errors import FracpdeError, NoRFound
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, regular_file_target
 from .fracops import (
     DifferintOrder,
     QuadratureConfig,
@@ -275,8 +275,9 @@ def solve_command(cfg: RunConfig, op, forcing, output):
             f"operator dimension {sym.dim} needs -n {sym.dim} (and a grid size to match)"
         )
     grid = cfg.box(sym.dim)
+    path = regular_file_target(cfg.outdir / output)
     res = solve_elliptic(sym, sample_separable(grid, _parse_func(forcing).value), cfg.cutoff_radius)
-    path = _ensure_outdir(cfg) / output
+    _ensure_outdir(cfg)
     save_field(res.u, path)
 
     f_hat_sup, residual_sup, confined = res.confinement()
@@ -326,8 +327,9 @@ def verify_command(cfg: RunConfig, only, report):
     selector = None
     if only is not None:
         selector = {part.strip() for part in only.split(",") if part.strip()}
+    path = regular_file_target(cfg.outdir / report)
     results = run_identity_suite(selector, cfg.verify)
-    path = _ensure_outdir(cfg) / report
+    _ensure_outdir(cfg)
     write_identity_report(results, path)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -365,9 +367,9 @@ def experiment_regularity(cfg: RunConfig, matrix, csv_name):
                 FunctionSpec.from_dict(d) if isinstance(d, dict) else catalog_lookup(d)
                 for d in doc["forcings"]
             ]
+    table = regular_file_target(cfg.outdir / csv_name)
     rows = run_regularity_experiment(operators, forcings, cfg.verify)
     outdir = _ensure_outdir(cfg)
-    table = outdir / csv_name
     write_experiment_csv(rows, table)
 
     for i, row in enumerate(rows):

@@ -13,7 +13,9 @@ other:
 ``rl_integral`` / ``rl_derivative``
     product integration: the input is interpolated piecewise-linearly on a
     graded mesh and the weakly singular kernel is integrated in closed form
-    against each linear piece.  The outer ``n``-th derivative is taken by
+    against each linear piece.  One path serves both signs: it computes
+    the ``n``-th derivative of the order ``nu - n`` integral, and the
+    integral is its ``n = 0`` case.  The outer ``n``-th derivative is taken by
     differentiating the quadrature formula analytically in the scaled
     variable (the mesh is fixed in ``tau = (x-y)/(x-base)``, so the nodes
     move affinely with ``x`` and the formula differentiates term by term).
@@ -236,22 +238,6 @@ def _mesh_weights(n_sub: int, grading: float, mu: complex | float) -> np.ndarray
     return w
 
 
-def _is_moving_base(f, order: DifferintOrder) -> bool:
-    """True when c = -inf is handled by a tail cut moving with x."""
-    return order.lower_infinite and getattr(f, "support", None) is None
-
-
-def _fixed_base(f, order: DifferintOrder, x: np.ndarray) -> np.ndarray:
-    """Per-point lower limit for a finite base or a compactly supported input."""
-    if order.lower_infinite:
-        return np.full_like(x, f.support[0])
-    lo = np.full_like(x, order.c)
-    support = getattr(f, "support", None)
-    if support is not None:
-        lo = np.maximum(lo, support[0])
-    return lo
-
-
 def _tail_span(f, x: np.ndarray, config: QuadratureConfig) -> float:
     """Length of the truncated tail integral for a base point at -inf."""
     if config.truncation_length is not None:
@@ -331,45 +317,75 @@ def _shifted_rule(f, x: np.ndarray, t1: np.ndarray, t2: np.ndarray, mu,
     return out
 
 
-def _integral_values(f, order: DifferintOrder, x: np.ndarray, config: QuadratureConfig) -> np.ndarray:
-    """Product-integration values of the order-nu integral at each x."""
-    mu = _real_if_real(-order.nu)
-    if _is_moving_base(f, order):
-        span = _tail_span(f, x, config)
-        t, w = _tail_rule(f.value, mu, x, span, config.subintervals, config.grading)
-        return _translated_rule(f.value, x, t, w, "input") * _rgamma(mu)
+def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: QuadratureConfig) -> np.ndarray:
+    """``d^n/dx^n`` of the order ``nu - n`` integral from ``c`` at each x.
 
+    ``n = 0`` is the integral of order ``nu`` itself.  Three rules set a
+    derivative (``n >= 1``) apart: it needs ``x > c`` where the integral
+    allows ``x = c``, it is zero above a compact support at integer
+    orders, and it falls back to the stencil where the moment path cannot
+    run.
+    """
+    mu = _real_if_real(n - nu)
+    support = getattr(fe, "support", None)
+    if c == MINUS_INF and support is None:
+        # Tail mesh is rigid in t = x - y, so the formula translates with x
+        # and the outer derivative lands directly on the integrand.
+        span = _tail_span(fe, x, config)
+        if n and fe.derivative_cap < n:
+            return _stencil_path(fe, nu, n, c, x, span, config)
+        values = (lambda z: fe.derivative_values(z, n)) if n else fe.value
+        t, w = _tail_rule(values, mu, x, span, config.subintervals, config.grading)
+        what = f"derivative of order {n}" if n else "input"
+        return _translated_rule(values, x, t, w, what) * _rgamma(mu)
+
+    if c != MINUS_INF and np.any(x <= c if n else x < c):
+        raise DomainOrder(f"evaluation point {'at or ' if n else ''}below the base point")
+    lo = np.full_like(x, c)
+    if support is not None:
+        lo = np.maximum(lo, support[0])
     out = np.zeros(x.shape, dtype=complex)
-    lo = _fixed_base(f, order, x)
-    live = x > lo
-    if not order.lower_infinite and np.any(x < order.c):
-        raise DomainOrder("evaluation point below the base point")
+    live = x > lo  # points at or below the support start see a vanishing integrand
     if not np.any(live):
         return out
-    xl, lol = x[live], lo[live]
+    x, lo = x[live], lo[live]
+    eps_near = np.min(x - lo) * 1e-9
+    if n and fe.smooth_order_on(float(np.min(x) - eps_near), float(np.max(x) + eps_near)) < n:
+        raise NotSmoothEnough(f"input lacks {n} continuous derivatives near the evaluation points")
 
-    support = getattr(f, "support", None)
-    hi = np.minimum(xl, support[1]) if support is not None else xl
-    res = np.zeros(xl.shape, dtype=complex)
+    above = x > support[1] if support is not None else np.zeros(x.shape, dtype=bool)
+    res = np.zeros(x.shape, dtype=complex)
+    if np.any(above) and not (n and nu.imag == 0 and nu.real == round(nu.real)):
+        # Input vanishes near x: the kernel is smooth on t = x - y in
+        # [x - support end, x - lo], differentiates under the integral, and
+        # the formula continues to D^nu directly (a derivative of integer
+        # order is zero there).
+        mu_above = _real_if_real(-nu)
+        xa = x[above]
+        res[above] = _shifted_rule(fe, xa, xa - support[1], xa - lo[above], mu_above, config)
+        res[above] *= _rgamma(mu_above)
 
-    at_top = hi == xl
-    if np.any(at_top):
-        res[at_top] = _derivative_moment_path(f, 0, mu, xl[at_top], lol[at_top], config)
-
-    below = ~at_top
-    if np.any(below):
-        # Kernel is smooth on [x-hi, x-lo]; same rule, shifted nodes.
-        res[below] = _shifted_rule(f, xl[below], (xl - hi)[below], (xl - lol)[below], mu, config)
-        res[below] *= _rgamma(mu)
-
+    inside = ~above
+    if np.any(inside):
+        xi, li = x[inside], lo[inside]
+        try:
+            # A derivative without closed-form derivatives on [lo, x] takes the stencil.
+            if n and (fe.derivative_cap < n or fe.smooth_order_on(float(np.min(li)), float(np.max(xi))) < n):
+                raise NotSmoothEnough
+            res[inside] = _derivative_moment_path(fe, n, mu, xi, li, config)
+        except NotSmoothEnough:
+            if not n:
+                raise
+            res[inside] = _stencil_path(fe, nu, n, c, xi, float(np.min(xi - li)), config)
     out[live] = res
     return out
 
 
-def _as_points(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+def _at_points(fe, nu: complex, c: float, n: int, x, config: QuadratureConfig):
+    """``_rl_values`` at a scalar or an array of points, shaped as ``x``."""
+    pts = np.asarray(x, dtype=float)
+    vals = _rl_values(fe, nu, c, n, np.atleast_1d(pts), config)
+    return vals if pts.ndim else vals[0]
 
 
 def rl_integral(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -393,10 +409,23 @@ def rl_integral(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_
     """
     if complex(order.nu).real >= 0:
         raise WrongSign("rl_integral needs Re(nu) < 0; use rl_derivative")
-    fe = as_evaluable(f)
-    pts, scalar = _as_points(x)
-    vals = _integral_values(fe, order, pts, config)
-    return vals[0] if scalar else vals
+    return _at_points(as_evaluable(f), complex(order.nu), order.c, 0, x, config)
+
+
+def rl_derivative(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QUADRATURE):
+    """Riemann-Liouville derivative of order ``nu`` (``Re(nu) >= 0``) at ``x``.
+
+    The outer ``n``-th derivative is exact (analytic differentiation of the
+    quadrature formula) for inputs with closed-form derivatives.  Points
+    above a compact support take the continued formula for ``D^nu`` with a
+    smooth kernel, whatever the rest of the batch does.  Inputs without
+    closed-form derivatives, or whose derivatives are not finite on the
+    integration range, fall back to an ``n+2``-point central difference of
+    the integral, which is noticeably less accurate.
+    """
+    if complex(order.nu).real < 0:
+        raise WrongSign("rl_derivative needs Re(nu) >= 0; use rl_integral")
+    return _at_points(as_evaluable(f), complex(order.nu), order.c, order.n, x, config)
 
 
 def _derivative_moment_path(fe, n: int, mu, x, lo, config) -> np.ndarray:
@@ -449,96 +478,14 @@ def _fornberg(order_d: int, nodes: np.ndarray) -> np.ndarray:
     return c[:, order_d]
 
 
-def rl_derivative(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Riemann-Liouville derivative of order ``nu`` (``Re(nu) >= 0``) at ``x``.
-
-    The outer ``n``-th derivative is exact (analytic differentiation of the
-    quadrature formula) for inputs with closed-form derivatives.  Points
-    above a compact support take the continued formula for ``D^nu`` with a
-    smooth kernel, whatever the rest of the batch does.  Inputs without
-    closed-form derivatives, or whose derivatives are not finite on the
-    integration range, fall back to an ``n+2``-point central difference of
-    the integral, which is noticeably less accurate.
-    """
-    nu = complex(order.nu)
-    if nu.real < 0:
-        raise WrongSign("rl_derivative needs Re(nu) >= 0; use rl_integral")
-    fe = as_evaluable(f)
-    pts, scalar = _as_points(x)
-    n = order.n
-    mu = _real_if_real(n - nu)
-    inner = DifferintOrder(nu - n, order.c)
-
-    if _is_moving_base(fe, order):
-        # Tail mesh is rigid in t = x - y, so the formula translates with x
-        # and the outer derivative lands directly on the integrand.
-        if fe.derivative_cap >= n:
-            span = _tail_span(fe, pts, config)
-
-            def deriv(z):
-                return fe.derivative_values(z, n)
-
-            t, w = _tail_rule(deriv, mu, pts, span, config.subintervals, config.grading)
-            out = _translated_rule(deriv, pts, t, w, f"derivative of order {n}") * _rgamma(mu)
-        else:
-            out = _stencil_path(fe, order, inner, pts, _tail_span(fe, pts, config), config)
-        return out[0] if scalar else out
-
-    lo = _fixed_base(fe, inner, pts)
-    if not order.lower_infinite and np.any(pts <= order.c):
-        raise DomainOrder("evaluation point at or below the base point")
-    live = pts > lo
-    if not np.all(live):
-        # Points at or below the support start see a vanishing integrand.
-        out = np.zeros(pts.shape, dtype=complex)
-        if np.any(live):
-            out[live] = rl_derivative(fe, order, pts[live], config)
-        return out[0] if scalar else out
-
-    span = pts - lo
-    eps_near = np.min(span) * 1e-9
-    if fe.smooth_order_on(float(np.min(pts) - eps_near), float(np.max(pts) + eps_near)) < n:
-        raise NotSmoothEnough(f"input lacks {n} continuous derivatives near the evaluation points")
-
-    support = getattr(fe, "support", None)
-    above = pts > support[1] if support is not None else np.zeros(pts.shape, dtype=bool)
-    out = np.zeros(pts.shape, dtype=complex)
-
-    if np.any(above) and not (nu.imag == 0 and nu.real == round(nu.real)):
-        # Input vanishes near x: the kernel differentiates under the integral
-        # and the formula continues to D^nu directly (zero at integer orders).
-        mu_above = _real_if_real(-nu)
-        pa = pts[above]
-        out[above] = _shifted_rule(fe, pa, pa - support[1], pa - lo[above], mu_above, config)
-        out[above] *= _rgamma(mu_above)
-
-    inside = ~above
-    if np.any(inside):
-        out[inside] = _inside_support_derivative(fe, order, inner, pts[inside], lo[inside], config)
-    return out[0] if scalar else out
-
-
-def _inside_support_derivative(fe, order, inner, pts, lo, config) -> np.ndarray:
-    """The moment path where closed-form derivatives allow it, else the stencil."""
-    n = order.n
-    if fe.derivative_cap >= n and fe.smooth_order_on(float(np.min(lo)), float(np.max(pts))) >= n:
-        try:
-            return _derivative_moment_path(fe, n, _real_if_real(n - order.nu), pts, lo, config)
-        except NotSmoothEnough:
-            pass
-    return _stencil_path(fe, order, inner, pts, float(np.min(pts - lo)), config)
-
-
-def _stencil_path(fe, order: DifferintOrder, inner: DifferintOrder, pts: np.ndarray,
-                  scale: float, config: QuadratureConfig) -> np.ndarray:
-    """Central differences of the integral; step set from the mesh scale."""
-    n = order.n
+def _stencil_path(fe, nu: complex, n: int, c: float, pts: np.ndarray, scale: float,
+                  config: QuadratureConfig) -> np.ndarray:
+    """Central differences of the order ``nu - n`` integral; step set from the mesh scale."""
     h = 0.5 * scale * config.subintervals ** (-2.0 / (n + 2))
     offsets = (np.arange(n + 2) - (n + 1) / 2.0) * h
-    stencil = _fornberg(n, offsets)
     shifted = pts[:, None] + offsets[None, :]
-    ivals = _integral_values(fe, inner, shifted.ravel(), config).reshape(shifted.shape)
-    return ivals @ stencil
+    ivals = _rl_values(fe, nu - n, c, 0, shifted.ravel(), config).reshape(shifted.shape)
+    return ivals @ _fornberg(n, offsets)
 
 
 def caputo_derivative(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -577,10 +524,6 @@ class _DerivativeOf:
     @property
     def decay_class(self):
         return self.base.decay_class
-
-    @property
-    def analytic(self):
-        return self.base.analytic
 
     def smooth_order_on(self, lo, hi):
         return max(self.base.smooth_order_on(lo, hi) - self.n, 0)

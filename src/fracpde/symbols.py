@@ -246,11 +246,15 @@ def principal_symbol(sym: FracSymbol) -> FracSymbol:
     return FracSymbol(sym.dim, tuple(t for t in sym.terms if t.degree == top))
 
 
-def sphere_samples(dim: int, count: int) -> np.ndarray:
-    """Well-spread unit vectors: endpoints, a circle, or a Fibonacci sphere."""
+def sphere_samples(dim: int) -> np.ndarray:
+    """Well-spread unit vectors: the two endpoints in 1-D, else ``64 * dim`` of them.
+
+    They lie evenly on a circle, on a Fibonacci sphere, or (4-D and up) are
+    normalized Gaussian draws seeded with their count.
+    """
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    count = max(count, _DIRECTIONS_PER_DIM * dim)
+    count = _DIRECTIONS_PER_DIM * dim
     if dim == 2:
         theta = 2.0 * math.pi * np.arange(count) / count
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -397,7 +401,7 @@ def check_ellipticity(sym: FracSymbol) -> EllipticityReport:
     """
     principal = principal_symbol(sym)
     threshold = 1e-9 * principal.coefficient_scale()
-    dirs = sphere_samples(sym.dim, _DIRECTIONS_PER_DIM * sym.dim)
+    dirs = sphere_samples(sym.dim)
     vals = np.abs(symbol_eval(principal, dirs))
     i0 = int(np.argmin(vals))
     best_dir, best_val = dirs[i0], float(vals[i0])
@@ -487,7 +491,7 @@ def estimate_bounds(
     require_elliptic(sym)
     info = order_and_gap(sym)
     threshold = 1e-9 * sym.coefficient_scale()
-    dirs = sphere_samples(sym.dim, _DIRECTIONS_PER_DIM * sym.dim)
+    dirs = sphere_samples(sym.dim)
     radii = np.logspace(math.log10(radius), math.log10(scan_max), _SCAN_RADII)
     lam = radii[:, None, None] * dirs[None, :, :]
     ratio = np.abs(symbol_eval(sym, lam)) / (1.0 + radii**2)[:, None] ** (info.order / 2.0)

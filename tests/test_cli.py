@@ -403,6 +403,20 @@ class TestOutputFiles:
         assert os.stat(target).st_mode == mode
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".target.")) == []
 
+    @pytest.mark.parametrize("command, engine", [
+        ("verify", "run_identity_suite"),
+        ("experiment", "run_regularity_experiment"),
+        ("solve", "solve_elliptic"),
+    ])
+    def test_target_is_refused_before_the_computation(self, runner, tmp_path, monkeypatch, command, engine):
+        import fracpde.cli as cli
+
+        monkeypatch.setattr(cli, engine, lambda *args, **kwargs: pytest.fail("computed"))
+        (tmp_path / "target").mkdir()
+        result = runner.invoke(main, ["--outdir", str(tmp_path), *self.COMMANDS[command], "target"])
+        assert result.exit_code == 1
+        assert result.stderr == f"ValueError: {tmp_path / 'target'} exists and is not a regular file\n"
+
     def test_atomic_write_refuses_a_fifo_and_replaces_a_file(self, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)

@@ -8,6 +8,7 @@ Expected values are frozen from the classical power and exponential rules,
 evaluated independently of the code under test.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from fracpde import (
     DifferintOrder,
     DomainOrder,
     EdgeLeakage,
+    FracpdeError,
     NonConvergent,
     NotAnalytic,
     NotSmoothEnough,
@@ -170,6 +172,19 @@ def test_derivative_above_support_continues_analytically():
 def test_integer_order_above_support_is_zero():
     got = rl_derivative(step(0, 1), DifferintOrder(1.0, 0.0), 3.0)
     assert got == 0.0
+
+
+@pytest.mark.parametrize("nu, want", [(-1.0, 1.0), (-2.0, 2.5)])
+def test_integer_order_integral_above_support_is_not_zero(nu, want):
+    # I^1 and I^2 of the indicator of [0, 1] at 3: int_0^1 dy and int_0^1 (3 - y) dy.
+    got = rl_integral(step(0, 1), DifferintOrder(nu, 0.0), 3.0)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_base_point_is_in_the_integral_domain_only():
+    assert rl_integral(power(1), DifferintOrder(-0.5, 0.0), 0.0) == 0.0
+    with pytest.raises(DomainOrder, match="at or below the base point"):
+        rl_derivative(power(1), DifferintOrder(0.5, 0.0), 0.0)
 
 
 def test_caputo_equals_rl_for_infinite_base():
@@ -564,3 +579,40 @@ class TestCaches:
             w[0] = 1.0
         with pytest.raises(ValueError):
             tau[0] = 1.0
+
+
+# Inputs, orders and bases of the dispatch pin.  Together they reach every
+# product-integration path (moving base, moment path, above the support,
+# stencil), a point at the base, and each domain and smoothness error.
+PIN_INPUTS = (
+    power(0.5), power(0.3 + 0.2j), polynomial([1.0, -0.5]), gaussian(0.5, 0.6), bump(1.0, 0.5),
+    step(0.0, 1.0), SampledCurve(-1.0, 0.25, np.cos(np.linspace(-1.0, 2.0, 13))),
+    CallableFn(lambda y: np.exp(-y * y), derivatives=(lambda y: -2.0 * y * np.exp(-y * y),),
+               truncation=8.0),
+)
+PIN_ENGINES = (
+    (rl_integral, (-0.5, -1.0, -1.2, -0.7 + 0.4j)),
+    (rl_derivative, (0.5, 1.0, 1.3, 0.7 + 0.4j)),
+    (caputo_derivative, (0.5, 1.0, 1.3, 0.7 + 0.4j)),
+)
+
+
+def test_quadrature_dispatch_bits_are_pinned():
+    """sha256 of every value's int64 view, or of the error, over a fixed matrix.
+
+    The digest was taken while the integral and the derivative each had
+    their own dispatch, so it pins the shared one to those bits.
+    """
+    digest = hashlib.sha256()
+    config = QuadratureConfig(subintervals=128)
+    for engine, orders in PIN_ENGINES:
+        for f in PIN_INPUTS:
+            for nu in orders:
+                for c in (0.0, -2.0, MINUS_INF):
+                    for x in (np.linspace(0.1, 2.5, 9), 0.0):
+                        try:
+                            got = np.array(engine(f, DifferintOrder(nu, c), x, config), dtype=complex, ndmin=1)
+                            digest.update(got.view(np.int64).tobytes())
+                        except FracpdeError as exc:
+                            digest.update(f"{type(exc).__name__}: {exc}".encode())
+    assert digest.hexdigest() == "2498bfe4461571b2e21a8b40c1e89b540435201658b48c96616f55fdcb80902d"
