@@ -34,7 +34,7 @@ from .fracops import (
 )
 from .functions import FunctionSpec, SampledCurve, catalog_lookup
 from .sobolev import estimate_regularity, sobolev_norm
-from .spectral import _CSV_ROW, BoxGrid, load_field, sample_separable, save_field, solve_elliptic
+from .spectral import BoxGrid, load_field, sample_separable, save_field, solve_elliptic
 from .symbols import FracSymbol, check_ellipticity, estimate_bounds, order_and_gap, principal_symbol
 from .verify import (
     VerifyConfig,
@@ -43,6 +43,9 @@ from .verify import (
     write_experiment_csv,
     write_identity_report,
 )
+
+# One ``x,re,im`` CSV row; ``%`` formats exactly as ``f"{x:.12g}"``.
+_CSV_ROW = "%.12g,%.12g,%.12g"
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,8 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
     """Evaluate a differintegral of a catalog or JSON function."""
     if (at_x is None) == (not on_grid):
         raise click.UsageError("pass exactly one of --at and --grid")
+    if at_x is not None and not math.isfinite(at_x):
+        raise click.UsageError(f"--at must be a finite number, got {at_x}")
     f = _parse_func(func)
     try:
         order = DifferintOrder(nu, _parse_base(base))
@@ -212,6 +217,8 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
     elif method == "hankel":
         if at_x is None:
             raise click.UsageError("--method hankel evaluates single points; pass --at")
+        if order.lower_infinite:
+            raise click.UsageError("--method hankel needs a finite base --c")
         vals = np.array([hankel_differintegral(f, order, at_x)])
     else:
         if not order.lower_infinite:

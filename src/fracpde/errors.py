@@ -14,7 +14,6 @@ __all__ = [
     "WrongSign",
     "NotSmoothEnough",
     "NotAnalytic",
-    "BranchCollision",
     "DCUndefined",
     "EdgeLeakage",
     "DimensionMismatch",
@@ -56,10 +55,6 @@ class NotSmoothEnough(FracpdeError):
 
 class NotAnalytic(FracpdeError):
     """Contour evaluation requested for a non-analytic input."""
-
-
-class BranchCollision(FracpdeError):
-    """Contour loop would cross the base point."""
 
 
 class DCUndefined(FracpdeError):

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BranchCollision,
     DCUndefined,
     DomainOrder,
     EdgeLeakage,
@@ -242,13 +241,12 @@ def _tail_span(f, x: np.ndarray, config: QuadratureConfig) -> float:
     """Length of the truncated tail integral for a base point at -inf."""
     if config.truncation_length is not None:
         return float(config.truncation_length)
-    if f.decay_class == "polynomial-growth":
-        raise NonConvergent("input does not decay toward -inf; integral diverges")
     try:
         # truncation_length is nondecreasing in x, so the last point needs the most.
         return f.truncation_length(float(np.max(x)))
     except ValueError as exc:
-        raise NonConvergent(str(exc)) from exc
+        # Raised only by inputs that do not decay: power, polynomial, an untruncated callable.
+        raise NonConvergent("input does not decay toward -inf; integral diverges") from exc
 
 
 def _tail_rule(values_fn, mu: complex, x: np.ndarray, span: float, n_sub: int,
@@ -384,6 +382,8 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
 def _at_points(fe, nu: complex, c: float, n: int, x, config: QuadratureConfig):
     """``_rl_values`` at a scalar or an array of points, shaped as ``x``."""
     pts = np.asarray(x, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ValueError("evaluation points must be finite")
     vals = _rl_values(fe, nu, c, n, np.atleast_1d(pts), config)
     return vals if pts.ndim else vals[0]
 
@@ -521,10 +521,6 @@ class _DerivativeOf:
     def support(self):
         return getattr(self.base, "support", None)
 
-    @property
-    def decay_class(self):
-        return self.base.decay_class
-
     def smooth_order_on(self, lo, hi):
         return max(self.base.smooth_order_on(lo, hi) - self.n, 0)
 
@@ -548,16 +544,16 @@ def hankel_differintegral(
     order: DifferintOrder,
     x: float,
     *,
-    loop_radius: float | None = None,
     nodes: int = 4096,
 ):
     """Differintegral via the Cauchy-type loop integral.
 
     The contour is a keyhole around the cut ``[c, x]``: straight segments
-    a tenth of ``loop_radius`` below and above the cut from the base point
-    to a circle of radius ``loop_radius`` traversed counter-clockwise once
-    around ``x``.  Needs ``f`` analytic in a neighbourhood of ``[c, x]``
-    containing the loop and ``nu`` not a negative integer.
+    a tenth of the loop radius ``r = (x - c)/4`` below and above the cut
+    from the base point to a circle of radius ``r`` traversed
+    counter-clockwise once around ``x``.  Needs ``f`` analytic in a
+    neighbourhood of ``[c, x]`` containing the loop and ``nu`` not a
+    negative integer.
     """
     nu = complex(order.nu)
     if nu.imag == 0 and nu.real < 0 and nu.real == round(nu.real):
@@ -566,13 +562,11 @@ def hankel_differintegral(
         raise ValueError("loop integral needs a finite base point")
     c = order.c
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("evaluation point must be finite")
     if x <= c:
         raise DomainOrder("evaluation point below the base point")
-    r = loop_radius if loop_radius is not None else (x - c) / 4.0
-    if r >= x - c:
-        raise BranchCollision("loop radius reaches the base point")
-    if r <= 0:
-        raise ValueError("loop radius must be positive")
+    r = (x - c) / 4.0
     delta = r / 10.0
     if not getattr(f, "analytic", False) or not f.analytic_near(c, x, margin=2.0 * delta):
         raise NotAnalytic("loop integral needs f analytic in a neighbourhood of [c, x]")

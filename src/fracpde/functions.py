@@ -4,7 +4,7 @@ The quadrature, contour, and Fourier engines all consume the same small set
 of input shapes: a :class:`FunctionSpec` from the catalog, a
 :class:`SampledCurve` of uniform samples, or (mostly for composing checks) a
 bare callable wrapped in :class:`CallableFn`.  A FunctionSpec carries enough
-structure -- closed-form derivatives, support, left-tail decay class,
+structure -- closed-form derivatives, support, left-tail truncation,
 analyticity -- for each engine to pick its exact code path and to bound its
 own truncation error instead of guessing.
 
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: Left-tail mass below the truncated base point is kept under ~1e-12 of the
-#: natural scale; these factors realize that bound for each decay class.
+#: natural scale; these factors realize that bound for each decaying kind.
 _EXP_TAIL_FACTOR = 45.0
 _GAUSS_TAIL_SIGMAS = 9.0
 
@@ -207,15 +207,6 @@ class FunctionSpec:
         return self.kind in ("power", "exponential", "gaussian", "polynomial")
 
     @property
-    def decay_class(self) -> str:
-        """Left-tail behaviour toward -inf, for base-point truncation."""
-        if self.kind in ("step", "bump"):
-            return "compact-support"
-        if self.kind in ("exponential", "gaussian"):
-            return "exponential-decay"
-        return "polynomial-growth"
-
-    @property
     def support(self) -> tuple[float, float] | None:
         p = self.params
         if self.kind == "step":
@@ -295,13 +286,16 @@ class FunctionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionSpec":
-        d = dict(d)
-        kind = d.pop("kind")
-        if kind == "polynomial":
-            params = {"coeffs": [_num_from_json(c) for c in d["coeffs"]]}
-        else:
-            params = {key: _num_from_json(v) for key, v in d.items()}
-        return cls(kind, params)
+        try:
+            d = dict(d)
+            kind = d.pop("kind")
+            if kind == "polynomial":
+                params = {"coeffs": [_num_from_json(c) for c in d["coeffs"]]}
+            else:
+                params = {key: _num_from_json(v) for key, v in d.items()}
+            return cls(kind, params)
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed function document: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionSpec":
@@ -457,10 +451,6 @@ class SampledCurve:
         return False
 
     @property
-    def decay_class(self) -> str:
-        return "compact-support"
-
-    @property
     def derivative_cap(self) -> int:
         return 0
 
@@ -503,10 +493,6 @@ class CallableFn:
         return False
 
     @property
-    def decay_class(self) -> str:
-        return "explicit" if self.truncation is not None else "polynomial-growth"
-
-    @property
     def support(self) -> None:
         return None
 
@@ -529,7 +515,7 @@ class CallableFn:
 
 def as_evaluable(f):
     """Normalize engine input to an object with the evaluable interface."""
-    if hasattr(f, "value") and hasattr(f, "decay_class"):
+    if hasattr(f, "value") and hasattr(f, "truncation_length"):
         return f
     if callable(f):
         return CallableFn(f)

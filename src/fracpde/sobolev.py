@@ -21,12 +21,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import TooFewBands, UnreliableFitWarning
-from .fileio import atomic_write_text
 from .functions import bump
 from .spectral import BoxGrid, Field, SpectralField, _along, _ifftn, _rows_per_block, _warn_on_edges, transform
 
@@ -38,7 +36,6 @@ __all__ = [
     "windowed_shells",
     "fit_regularity",
     "estimate_regularity",
-    "export_shell_csv",
 ]
 
 # Band energies at or below this fraction of the peak band are treated as
@@ -279,11 +276,3 @@ def fit_regularity(
             stacklevel=2,
         )
     return est
-
-
-def export_shell_csv(shells: ShellSpectrum, path: str | Path) -> None:
-    """CSV rows of band edge, mean energy, and frequency count."""
-    rows = ["band_edge,band_energy,count"]
-    for lo, e, c in zip(shells.lo_edges, shells.energy, shells.counts):
-        rows.append(f"{lo:.12g},{e:.12g},{int(c)}")
-    atomic_write_text(path, "\n".join(rows) + "\n")

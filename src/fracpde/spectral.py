@@ -44,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CutoffExceedsNyquist, DimensionMismatch, EdgeLeakageWarning, NoRFound
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes
 from .symbols import FracSymbol, branch_power, estimate_bounds, require_elliptic
-from .symbols import symbol_eval  # noqa: F401  (still importable from this module)
+# Unused here; perfbench's tracer rebinds ``spectral.symbol_eval``, and its test asserts that.
+from .symbols import symbol_eval  # noqa: F401
 
 __all__ = [
     "BoxGrid",
@@ -65,7 +66,6 @@ __all__ = [
     "sample_separable",
     "save_field",
     "load_field",
-    "export_slice",
 ]
 
 _EDGE_TOL = 1e-8
@@ -73,8 +73,6 @@ _EDGE_TOL = 1e-8
 # lines in a pruned transform pass.
 _BLOCK_VALUES = 1 << 15
 _FILE_MAGIC = "fracpde-field-v1"
-# One ``x,re,im`` CSV row; ``%`` formats exactly as ``f"{x:.12g}"``.
-_CSV_ROW = "%.12g,%.12g,%.12g"
 
 
 @dataclass(frozen=True)
@@ -563,18 +561,3 @@ def load_field(path: str | Path) -> Field:
         if handle.readinto(memoryview(values).cast("B")) != nbytes:
             raise ValueError(f"{path}: payload ended early")
     return Field(grid, values)
-
-
-def export_slice(field: Field, path: str | Path, index: tuple[int, ...] | None = None) -> None:
-    """CSV of the values along the first axis, other indices held fixed.
-
-    ``index`` picks the fixed coordinates (defaults to the box center).
-    """
-    g = field.grid
-    if index is None:
-        index = (g.m // 2,) * (g.dim - 1)
-    if len(index) != g.dim - 1:
-        raise DimensionMismatch(f"need {g.dim - 1} fixed indices for a {g.dim}-d field")
-    line = field.values[(slice(None), *index)]
-    rows = map(_CSV_ROW.__mod__, zip(g.axis().tolist(), line.real.tolist(), line.imag.tolist()))
-    atomic_write_text(path, "\n".join(["x,re,im", *rows]) + "\n")

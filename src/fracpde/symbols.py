@@ -35,7 +35,6 @@ __all__ = [
     "check_ellipticity",
     "require_elliptic",
     "estimate_bounds",
-    "multiply_symbols",
     "sphere_samples",
 ]
 
@@ -515,16 +514,3 @@ def estimate_bounds(
         f"the symbol still vanishes near |lambda| = {scan_max:g}; "
         "no viable radius below the scan ceiling"
     )
-
-
-def multiply_symbols(a: FracSymbol, b: FracSymbol) -> FracSymbol:
-    """Product symbol; exact because all powers share one branch."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"cannot multiply symbols of dimensions {a.dim} and {b.dim}")
-    terms: dict[tuple[float, ...], complex] = {}
-    for s in a.terms:
-        for t in b.terms:
-            alpha = tuple(x + y for x, y in zip(s.alpha, t.alpha))
-            terms[alpha] = terms.get(alpha, 0j) + s.coefficient * t.coefficient
-    kept = tuple(SymbolTerm(c, alpha) for alpha, c in terms.items() if c != 0)
-    return FracSymbol(a.dim, kept)

@@ -61,13 +61,16 @@ __all__ = [
     "write_experiment_csv",
 ]
 
+# Points per axis of the gain experiment's rows above one dimension.
+_GRID_M_2D = 512
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
     """Resolution and tolerance knobs shared by the checks and experiments.
 
     ``grid_m`` samples per axis on a box of side ``grid_length`` for 1-D
-    work, ``grid_m_2d`` per axis above one dimension.  ``quadrature`` drives
+    work, and 512 per axis above one dimension.  ``quadrature`` drives
     every quadrature engine call; the refined checks (``cauchy_equiv``,
     ``schwartz_conv``) derive theirs from it with four times the
     subintervals, keeping its grading and tail truncation.
@@ -80,7 +83,6 @@ class VerifyConfig:
 
     grid_m: int = 4096
     grid_length: float = 40.0
-    grid_m_2d: int = 512
     cutoff_radius: float = 4.0
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE
     gain_tolerance_1d: float = 0.15
@@ -88,14 +90,13 @@ class VerifyConfig:
 
     def __post_init__(self):
         self.box(1)
-        self.box(2)
         if not self.cutoff_radius > 0:
             raise ValueError("cutoff radius must be positive")
         if not (self.gain_tolerance_1d > 0 and self.gain_tolerance_2d > 0):
             raise ValueError("gain tolerances must be positive")
 
     def box(self, dim: int = 1) -> BoxGrid:
-        return BoxGrid(dim, self.grid_m if dim == 1 else self.grid_m_2d, self.grid_length)
+        return BoxGrid(dim, self.grid_m if dim == 1 else _GRID_M_2D, self.grid_length)
 
 
 @dataclass(frozen=True)
@@ -414,13 +415,7 @@ def run_identity_suite(
 # -- commutator check --------------------------------------------------------------
 
 
-def run_commutator_check(
-    alpha: float,
-    u_spec=None,
-    phi_spec=None,
-    config: VerifyConfig | None = None,
-    t: float | None = None,
-) -> CheckResult:
+def run_commutator_check(alpha: float) -> CheckResult:
     """Verify the smoothing of [D^alpha, phi] against multiplication.
 
     The commutator [D^alpha, phi]u = D^alpha(phi u) - phi D^alpha u gains a
@@ -429,21 +424,18 @@ def run_commutator_check(
     alpha = 1 is the classical product rule; with the lambda^alpha symbol
     convention (lambda = i(-i lambda)) the operator is i d/dx, so the
     commutator equals i phi' u exactly.  alpha = 0 commutes outright.
-
-    Pass ``t`` when the regularity of ``u_spec`` is known (0.5 for the
-    default step); otherwise it is estimated from the same shells.
+    u is a gaussian at alpha = 0 and 1 and a step otherwise, whose t is
+    estimated from its shells; phi is a bump of radius 6.
     """
     if not 0.0 <= alpha <= 1.5:
         raise ValueError("commutator check covers alpha in [0, 1.5]")
-    cfg = config if config is not None else VerifyConfig()
-    grid = cfg.box(1)
+    grid = VerifyConfig().box(1)
+    phi = bump(0.0, 6.0)
+    phi_vals = phi.value(grid.axis())
     sym = FracSymbol(1, (SymbolTerm(1.0, (alpha,)),))
 
     if alpha in (0.0, 1.0):
-        spec = u_spec if u_spec is not None else gaussian(0.0, 1.0)
-        phi = phi_spec if phi_spec is not None else bump(0.0, 6.0)
-        u = sample_field(grid, spec.value)
-        phi_vals = phi.value(grid.axis())
+        u = sample_field(grid, gaussian(0.0, 1.0).value)
         comm = (
             apply_operator(sym, Field(grid, phi_vals * u.values)).values
             - phi_vals * apply_operator(sym, u).values
@@ -463,16 +455,12 @@ def run_commutator_check(
             {"alpha": alpha, "mode": "exact", "grid_m": grid.m},
         )
 
-    spec = u_spec if u_spec is not None else step(-1.0, 1.0)
-    phi = phi_spec if phi_spec is not None else bump(0.0, 6.0)
-    u = sample_field(grid, spec.value)
-    phi_vals = phi.value(grid.axis())
+    u = sample_field(grid, step(-1.0, 1.0).value)
     phi_u = Field(grid, phi_vals * u.values)
     d_phi_u = apply_operator(sym, phi_u)
     comm = Field(grid, d_phi_u.values - phi_vals * apply_operator(sym, u).values)
 
-    if t is None:
-        t = estimate_regularity(u).s_star
+    t = estimate_regularity(u).s_star
     est_comm = estimate_regularity(comm)
     est_rough = estimate_regularity(d_phi_u)
     want_comm = (t - alpha + 1.0) - 0.2

@@ -141,6 +141,29 @@ class TestDifferint:
         assert result.exit_code == 2
         assert "-L/2" in result.output
 
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_nonfinite_point_is_usage_error_before_evaluation(self, capsys, monkeypatch, at):
+        import fracpde.cli as cli
+
+        for engine in ("differint", "caputo_derivative", "hankel_differintegral", "fourier_differint"):
+            monkeypatch.setattr(cli, engine, lambda *args, **kwargs: pytest.fail("evaluated"))
+        assert run_cli(["differint", "--func", "gaussian", "--nu", "0.5", "--at", at]) == 2
+        assert "--at must be a finite number" in capsys.readouterr().err
+
+    def test_hankel_with_infinite_base_is_usage_error(self, capsys, monkeypatch):
+        import fracpde.cli as cli
+
+        monkeypatch.setattr(cli, "hankel_differintegral", lambda *args, **kwargs: pytest.fail("evaluated"))
+        argv = ["differint", "--func", "gaussian", "--nu", "0.5", "--c", "-inf", "--method", "hankel", "--at", "1"]
+        assert run_cli(argv) == 2
+        assert "--method hankel needs a finite base --c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ['{"center": 0}', '{"kind": "power"}', '{"kind": "gaussian", "center": {}}'])
+    def test_malformed_function_json_is_a_computation_error(self, capsys, doc):
+        assert run_cli(["differint", "--func", doc, "--nu", "0.5", "--at", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: malformed function document: ") and "Traceback" not in err
+
     # The grid starts at -L/2 = -10: a derivative needs every x > c, an
     # integral (and a Caputo derivative, an integral of f') allows x = c.
     @pytest.mark.parametrize("nu, base, method, code", [
@@ -359,6 +382,14 @@ class TestExperimentCommand:
         assert lines[0] == "# shell_center forcing_energy solution_energy"
         assert len(lines) > 10
         assert all(len(line.split()) == 3 for line in lines[1:])
+
+    def test_malformed_forcing_is_a_computation_error(self, capsys, monkeypatch, tmp_path):
+        import fracpde.cli as cli
+
+        monkeypatch.setattr(cli, "run_regularity_experiment", lambda *args, **kwargs: pytest.fail("computed"))
+        matrix = json.dumps({"operators": [json.loads(MONO_05)], "forcings": [{"kind": "power"}]})
+        assert run_cli(["--outdir", str(tmp_path), "experiment", "regularity", "--matrix", matrix]) == 1
+        assert capsys.readouterr().err == "ValueError: malformed function document: 'p'\n"
 
     def test_outdir_env_var(self, runner, tmp_path):
         matrix = json.dumps({"operators": [json.loads(MONO_05)], "forcings": ["step"]})

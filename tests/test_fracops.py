@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracpde import (
-    BranchCollision,
     CallableFn,
     DCUndefined,
     DifferintOrder,
@@ -217,6 +216,13 @@ class TestDomainErrors:
     def test_derivative_needs_smoothness_at_the_point(self):
         with pytest.raises(NotSmoothEnough):
             rl_derivative(step(-1, 1), DifferintOrder(0.5, -2.0), np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("engine, nu", [(rl_integral, -0.5), (rl_derivative, 0.5), (caputo_derivative, 0.5)])
+    @pytest.mark.parametrize("base", [0.0, MINUS_INF])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [1.0, math.nan], [1.0, math.inf]])
+    def test_points_must_be_finite(self, engine, nu, base, x):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            engine(gaussian(), DifferintOrder(nu, base), x)
 
     @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan, complex(0.5, math.inf)])
     def test_order_must_be_finite(self, nu):
@@ -421,9 +427,10 @@ class TestHankelLoop:
         quad = rl_integral(f, order, 1.0)
         assert loop == pytest.approx(quad, rel=1e-6)
 
-    def test_rejects_radius_reaching_base(self):
-        with pytest.raises(BranchCollision):
-            hankel_differintegral(power(2), DifferintOrder(0.5, 0.0), 1.0, loop_radius=1.5)
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_a_point_that_is_not_finite(self, x):
+        with pytest.raises(ValueError, match="evaluation point must be finite"):
+            hankel_differintegral(power(2), DifferintOrder(0.5, 0.0), x)
 
     def test_rejects_nonanalytic_input(self):
         with pytest.raises(NotAnalytic):

@@ -89,13 +89,6 @@ def test_integer_power_derivative_past_degree_is_zero():
 
 
 class TestMetadata:
-    def test_decay_classes(self):
-        assert gaussian().decay_class == "exponential-decay"
-        assert exponential(1).decay_class == "exponential-decay"
-        assert step().decay_class == "compact-support"
-        assert bump().decay_class == "compact-support"
-        assert power(2).decay_class == "polynomial-growth"
-
     def test_supports(self):
         assert step(-1, 2).support == (-1, 2)
         assert bump(1, 0.5).support == (0.5, 1.5)

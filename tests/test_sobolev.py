@@ -12,7 +12,6 @@ from fracpde.sobolev import (
     _WINDOW_RADIUS_FRAC,
     RegularityEstimate,
     estimate_regularity,
-    export_shell_csv,
     fit_regularity,
     shell_spectrum,
     sobolev_norm,
@@ -90,18 +89,6 @@ class TestShells:
     def test_too_few_bands(self):
         with pytest.raises(TooFewBands):
             shell_spectrum(sample_field(BoxGrid(1, 16, 10.0), gaussian(0, 0.6).value))
-
-    def test_csv_export(self, tmp_path):
-        shells = shell_spectrum(sample_field(GRID, step(-1.0, 1.0).value))
-        out = tmp_path / "shells.csv"
-        export_shell_csv(shells, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "band_edge,band_energy,count"
-        assert len(lines) == len(shells) + 1
-        edge, energy, count = lines[1].split(",")
-        assert float(edge) == pytest.approx(shells.lo_edges[0])
-        assert int(count) == shells.counts[0]
-
 
 class TestEstimate:
     def test_step_half(self):

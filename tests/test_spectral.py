@@ -18,25 +18,23 @@ from fracpde import (
     SymbolTerm,
     bump,
     gaussian,
-    multiply_symbols,
     polynomial,
     step,
 )
 import fracpde.spectral as spectral
+from fracpde.cli import _CSV_ROW
 from fracpde.spectral import (
     BoxGrid,
     Field,
     Parametrix,
     SolveResult,
     SpectralField,
-    _CSV_ROW,
     _FILE_MAGIC,
     _ifftn,
     apply_operator,
     build_cutoff,
     build_parametrix,
     convolve,
-    export_slice,
     inverse,
     load_field,
     _symbol_on_grid,
@@ -145,7 +143,7 @@ class TestApply:
         b = FracSymbol(1, (SymbolTerm(1, (0.5,)),))
         spec = transform(gauss_field)
         two = apply_operator(a, apply_operator(b, spec))
-        one = apply_operator(multiply_symbols(a, b), spec)
+        one = apply_operator(FracSymbol(1, (SymbolTerm(1, (1.2,)),)), spec)
         assert np.max(np.abs(two.values - one.values)) < 1e-9
 
     def test_dimension_guard(self, gauss_field):
@@ -348,23 +346,6 @@ class TestFieldFiles:
         path.write_bytes(b'{"format": "something-else"}\n1234')
         with pytest.raises(ValueError):
             load_field(path)
-
-    def test_csv_slice(self, tmp_path):
-        g = BoxGrid(2, 16, 4.0)
-        f = sample_field(g, lambda x, y: x + 1j * y)
-        out = tmp_path / "slice.csv"
-        export_slice(f, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x,re,im"
-        assert len(lines) == 17
-        x, re, im = lines[1].split(",")
-        assert float(x) == pytest.approx(-2.0)
-        assert float(re) == pytest.approx(-2.0)
-
-    def test_csv_needs_right_index_count(self, tmp_path, gauss_field):
-        with pytest.raises(DimensionMismatch):
-            export_slice(gauss_field, tmp_path / "x.csv", index=(3,))
-
 
 # Symbols covering a constant term, complex coefficients, zero components of
 # alpha and terms of mixed degree, in each dimension.
@@ -765,14 +746,3 @@ class TestCsvRows:
         for x in CSV_AWKWARD:
             for y in CSV_AWKWARD:
                 assert _CSV_ROW % (x, y, -y) == f"{x:.12g},{y:.12g},{-y:.12g}"
-
-    def test_export_slice_bytes(self, tmp_path):
-        g = BoxGrid(2, 32, 8.0)
-        vals = np.zeros(g.shape(), dtype=complex)
-        line = np.array(CSV_AWKWARD * 2, dtype=float)[: g.m]
-        vals.real[:, 5], vals.imag[:, 5] = line, line[::-1]
-        out = tmp_path / "slice.csv"
-        export_slice(Field(g, vals), out, index=(5,))
-        want = "x,re,im\n" + "".join(f"{x:.12g},{v.real:.12g},{v.imag:.12g}\n"
-                                     for x, v in zip(g.axis(), vals[:, 5]))
-        assert out.read_bytes() == want.encode()

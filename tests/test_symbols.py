@@ -17,7 +17,6 @@ from fracpde import (
     branch_power,
     check_ellipticity,
     estimate_bounds,
-    multiply_symbols,
     order_and_gap,
     principal_symbol,
     require_elliptic,
@@ -228,23 +227,6 @@ class TestBounds:
 
 
 class TestProduct:
-    def test_orders_add(self):
-        prod = multiply_symbols(mono(1, 0.5), mono(1, 0.7))
-        assert order_and_gap(prod).order == pytest.approx(1.2)
-
-    def test_values_multiply_on_the_shared_branch(self):
-        a = FracSymbol(1, (SymbolTerm(1, (0.5,)), SymbolTerm(2, (0.0,))))
-        b = mono(1, 0.3, c=1 - 1j)
-        prod = multiply_symbols(a, b)
-        lam = np.array([[-2.0], [3.0], [0.5]])
-        assert np.allclose(
-            symbol_eval(prod, lam), symbol_eval(a, lam) * symbol_eval(b, lam), atol=1e-13
-        )
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            multiply_symbols(mono(1, 1.0), FRAC_LAP_2D)
-
     @given(a=st.floats(min_value=0.1, max_value=2.0), b=st.floats(min_value=0.1, max_value=2.0))
     def test_homogeneity_scaling(self, a, b):
         # |sigma_P(t * lam)| = t^order * |sigma_P(lam)| for homogeneous symbols.

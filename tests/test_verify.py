@@ -137,7 +137,6 @@ class TestVerifyConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("grid_m", 100, "power of two"),
         ("grid_m", 8, "power of two"),
-        ("grid_m_2d", 48, "power of two"),
         ("grid_length", 0.0, "box length must be positive"),
         ("grid_length", math.nan, "box length must be positive"),
         ("cutoff_radius", 0.0, "cutoff radius must be positive"),
@@ -167,13 +166,13 @@ class TestCommutator:
         assert r.max_error <= 1e-8
 
     def test_fractional_order_gains_one_order(self):
-        r = run_commutator_check(0.6, t=0.5)
+        r = run_commutator_check(0.6)
         assert r.passed
         assert r.details["commutator_s_star"] >= 0.7
         assert r.details["rough_s_star"] <= 0.1
 
     def test_above_one_still_gains(self):
-        r = run_commutator_check(1.3, t=0.5)
+        r = run_commutator_check(1.3)
         assert r.passed
 
     def test_alpha_out_of_range(self):
