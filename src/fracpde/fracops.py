@@ -63,7 +63,7 @@ from .errors import (
     PoleHitWarning,
     WrongSign,
 )
-from .functions import CallableFn, FunctionSpec, SampledCurve, _falling, as_evaluable
+from .functions import FunctionSpec, SampledCurve, _falling, as_evaluable
 
 __all__ = [
     "DifferintOrder",

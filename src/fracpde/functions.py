@@ -28,7 +28,6 @@ Catalog kinds and parameters:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import TooFewBands, UnreliableFitWarning
 from .functions import bump
-from .spectral import BoxGrid, Field, SpectralField, _along, _ifftn, _rows_per_block, _warn_on_edges, transform
+from .spectral import BoxGrid, Field, SpectralField, _along, _by_rows, _ifftn, _radii, _warn_on_edges, transform
 
 __all__ = [
     "ShellSpectrum",
@@ -96,10 +96,10 @@ class ShellSpectrum:
     def floor(self) -> float:
         """Dead-band energy threshold implied by the peak shell.
 
-        Pass a forcing's floor as ``floor`` when estimating a field derived
-        from it: a solution computed from a forcing carries the forcing's
-        rounding noise, not its own, so its dead bands must be judged on
-        the forcing's scale.
+        Pass a forcing's floor as ``floor`` to :func:`fit_regularity` when
+        fitting a field derived from it: a solution computed from a forcing
+        carries the forcing's rounding noise, not its own, so its dead bands
+        must be judged on the forcing's scale.
         """
         return _FLOOR_RATIO * float(self.energy.max())
 
@@ -108,7 +108,10 @@ def shell_spectrum(u) -> ShellSpectrum:
     """Band-averaged energy spectrum between the 4th bin and 3/4 Nyquist.
 
     The first three frequency bins reflect box truncation and the top
-    quarter of the band reflects aliasing; both are excluded.
+    quarter of the band reflects aliasing; both are excluded.  Radii, band
+    indices, counts and ``|u_hat|^2`` are formed a block of rows at a time;
+    the band energies are summed by one ``np.bincount`` over the grid in
+    element order.
     """
     g = u.grid
     lo = 4.0 * (2.0 * math.pi / g.length)
@@ -123,11 +126,21 @@ def shell_spectrum(u) -> ShellSpectrum:
         # |transform(u)|^2 is |ifftn(u)|^2 (L^n)^2: the phase factors have modulus 1.
         _warn_on_edges(u)
         spec, scale = _ifftn(u.values), float(g.length**g.dim) ** 2
-    rho = g.frequency_radii().ravel()
-    which = np.digitize(rho, edges) - 1
-    inside = (which >= 0) & (which < n_bands) & (rho < hi)
-    counts = np.bincount(which[inside], minlength=n_bands)
-    sums = np.bincount(which[inside], weights=np.abs(spec.ravel()[inside]) ** 2, minlength=n_bands) * scale
+    # Values outside every band go to the extra bin n_bands, which is dropped.
+    first, *others = g.axis_frequencies()
+    which = np.empty(g.shape(), dtype=np.intp)
+    power = np.empty(g.shape())
+
+    def bin_rows(rows):
+        rho = _radii([first[rows], *others])
+        band = np.digitize(rho, edges) - 1
+        band[(band < 0) | (band >= n_bands) | (rho >= hi)] = n_bands
+        which[rows] = band
+        np.square(np.abs(spec[rows]), out=power[rows])
+        return np.bincount(band.ravel(), minlength=n_bands + 1)
+
+    counts = np.sum(_by_rows(bin_rows, g.shape()), axis=0)[:n_bands]
+    sums = np.bincount(which.ravel(), weights=power.ravel(), minlength=n_bands + 1)[:n_bands] * scale
     keep = counts > 0
     if keep.sum() < 4:
         raise TooFewBands(f"only {int(keep.sum())} populated shells on this grid")
@@ -194,25 +207,26 @@ def windowed_shells(u: Field) -> ShellSpectrum:
     g = u.grid
     w = _window_axis(g)
     vals = np.empty(g.shape(), dtype=complex)
-    step = _rows_per_block(g.shape())
-    for lo in range(0, g.m, step):
-        rows = slice(lo, lo + step)
+
+    def window_rows(rows):
         win = _along(w, 0, g.dim)[rows]
         for ax in range(1, g.dim):
             win = win * _along(w, ax, g.dim)
         np.multiply(u.values[rows], win, out=vals[rows])
+
+    _by_rows(window_rows, g.shape())
     return shell_spectrum(Field(g, vals))
 
 
-def estimate_regularity(
-    u: Field, *, min_radius: float = 0.0, floor: float | None = None
-) -> RegularityEstimate:
+def estimate_regularity(u: Field, *, min_radius: float = 0.0) -> RegularityEstimate:
     """Fit the spectral decay exponent of the windowed field.
 
-    :func:`fit_regularity` on :func:`windowed_shells` of ``u``; see there
-    for ``min_radius`` and ``floor``.
+    :func:`fit_regularity` on :func:`windowed_shells` of ``u``, with the
+    field's own dead-band floor; see there for ``min_radius``.  To judge a
+    field on another field's floor, call :func:`fit_regularity` with
+    ``floor`` directly.
     """
-    return fit_regularity(windowed_shells(u), u.grid.dim, min_radius=min_radius, floor=floor)
+    return fit_regularity(windowed_shells(u), u.grid.dim, min_radius=min_radius)
 
 
 def fit_regularity(

@@ -19,12 +19,17 @@ spectrum ``f_hat`` with the solution, and computes the residual spectrum
 ``-chi * f_hat`` and the residual field on demand.
 
 ``chi`` is real, and it is built only on the index box ``|lambda_i| <= R + 1``
-that holds its support; ``E_hat = 1/P`` outside that box.  The forward
-transform skips the lines of +0 that a compactly supported forcing leaves,
-the transforms write into arrays they own, scale and phase factors are
-applied a block of rows at a time, and the solution is transformed in the
-buffer of its own spectrum.  A solve holds ``u``, ``f_hat``, ``E_hat`` and a
-half-size real ``chi``.
+that holds its support; ``E_hat = 1/P`` outside that box.  A solve holds
+``u``, ``f_hat``, ``E_hat`` and a half-size real ``chi``, and every other
+field-sized pass runs a block of rows at a time into an array it owns.  The
+transforms run one axis at a time, last to first, as ``numpy.fft.ifftn`` and
+``fftn`` do, with every line going through the same 1-D ``numpy.fft`` call;
+the forward transform skips the lines of +0 that a compactly supported
+forcing leaves, and the solution is transformed in the buffer of its own
+spectrum.  On grids of at least ``_THREADED_VALUES`` values the blocks of a
+pass, lines or rows, run on one worker thread per CPU the process may run
+on.  Each value is computed by the same operations whichever thread runs
+its block, so the results are those of single-threaded numpy bit for bit.
 
 Symbols, radii and separable samples are built from 1-D axis factors: every
 symbol term is ``c * prod(lambda_i^alpha_i)``, a separable function is
@@ -34,9 +39,11 @@ symbol term is ``c * prod(lambda_i^alpha_i)``, a separable function is
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,9 +76,14 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-8
-# Grid values per block of rows in the row-blocked passes, and per batch of
-# lines in a pruned transform pass.
+# Grid values per block of rows in the row-blocked passes, and per block of
+# lines in a transform pass.
 _BLOCK_VALUES = 1 << 15
+# Passes over at least this many grid values run their blocks on the worker
+# pool; smaller ones, such as the 1-D and 2-D m=512 grids of the identity
+# checks and the gain experiment, stay on the calling thread, where a pool
+# would cost more than it saves.
+_THREADED_VALUES = 1 << 20
 _FILE_MAGIC = "fracpde-field-v1"
 
 
@@ -212,7 +224,8 @@ def sample_separable(grid: BoxGrid, fn) -> Field:
 
     ``fn`` is evaluated once, on the 1-D axis; the product is formed by
     broadcasting in axis order, so it equals ``np.prod`` over a meshgrid.
-    The last factor is multiplied straight into the complex sample buffer.
+    The last factor is multiplied straight into the complex sample buffer,
+    a block of rows at a time.
     """
     vals = np.asarray(fn(grid.axis()))
     if grid.dim == 1:
@@ -221,7 +234,7 @@ def sample_separable(grid: BoxGrid, fn) -> Field:
     for ax in range(1, grid.dim - 1):
         out = out * _along(vals, ax, grid.dim)
     last = _along(vals, grid.dim - 1, grid.dim)
-    return Field(grid, np.multiply(out, last, out=np.empty(grid.shape(), dtype=complex)))
+    return Field(grid, _product_by_rows(np.empty(grid.shape(), dtype=complex), out, last))
 
 
 def _warn_on_edges(field: Field) -> None:
@@ -236,8 +249,76 @@ def _warn_on_edges(field: Field) -> None:
         )
 
 
-def _rows_per_block(shape: tuple[int, ...]) -> int:
-    return max(1, _BLOCK_VALUES * shape[0] // math.prod(shape))
+_pool = None  # (ThreadPoolExecutor, its thread count), made by _workers
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    """The worker pool and its size, one thread per CPU in the affinity mask; None on one CPU.
+
+    The pool, and ``concurrent.futures`` with the ``logging`` it imports,
+    are loaded on first use, so a process that never runs a large pass
+    starts no thread and pays no import.  Where the platform keeps no
+    affinity mask, the CPU count stands in for it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            if cpus > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = ThreadPoolExecutor(cpus, thread_name_prefix="fracpde"), cpus
+    return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads: a pool it inherited
+    # would take tasks and never run them.  It makes its own on first use.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # Windows has no fork()
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_rows(task, shape: tuple[int, ...]) -> list:
+    """``[task(rows) for rows in blocks]`` over blocks of about ``_BLOCK_VALUES`` values: rows of axis 0.
+
+    Each task writes only its own rows of preallocated outputs, keeps its
+    temporaries within its block and calls numpy alone, so the blocks may
+    run in any order.  A pass over at least ``_THREADED_VALUES`` values runs
+    them on the worker pool, in a copy of the caller's context so that
+    ``np.errstate`` holds there too; results come back in block order once
+    every block has run.
+    """
+    step = max(1, _BLOCK_VALUES * shape[0] // math.prod(shape))
+    blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+    workers = _workers() if math.prod(shape) >= _THREADED_VALUES else None
+    if workers is None:
+        return [task(rows) for rows in blocks]
+    from concurrent.futures import wait
+
+    pool, width = workers
+    results = [None] * len(blocks)
+    todo, todo_lock = iter(range(len(blocks))), threading.Lock()
+
+    def drain():
+        # Each thread takes the next block when it is free, so a thread on a
+        # busy CPU takes fewer, and one submission per thread suffices.
+        while True:
+            with todo_lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = task(blocks[i])
+
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(width)]
+    wait(futures)
+    for done in futures:
+        done.result()
+    return results
 
 
 def _product_by_rows(out: np.ndarray, *factors) -> np.ndarray:
@@ -247,14 +328,20 @@ def _product_by_rows(out: np.ndarray, *factors) -> np.ndarray:
     that span axis 0 are sliced with the block.  Per value the operations are
     those of the whole-array products, so the result is the same bit for bit.
     """
-    step = _rows_per_block(out.shape)
-    for lo in range(0, out.shape[0], step):
-        rows = slice(lo, lo + step)
-        first, second, *rest = (f[rows] if np.ndim(f) and np.shape(f)[0] > 1 else f for f in factors)
+
+    def task(rows):
+        first, second, *rest = (_rows_of(f, rows) for f in factors)
         blk = np.multiply(first, second, out=out[rows])
         for f in rest:
             blk *= f
+
+    _by_rows(task, out.shape)
     return out
+
+
+def _rows_of(factor, rows: slice):
+    """The block ``rows`` of a factor that spans axis 0; a scalar or broadcast factor as it is."""
+    return factor[rows] if np.ndim(factor) and np.shape(factor)[0] > 1 else factor
 
 
 def _phases(grid: BoxGrid, unit: complex) -> list[np.ndarray]:
@@ -266,41 +353,60 @@ def _phases(grid: BoxGrid, unit: complex) -> list[np.ndarray]:
 def _ifftn(values: np.ndarray) -> np.ndarray:
     """``np.fft.ifftn(values)`` bit for bit, without transforming lines of +0.
 
-    The axes run last to first, as in ``ifftn``, and every line goes through
-    the same 1-D ``np.fft.ifft``.  A line whose words are all +0 transforms
-    to +0, so it is left as the +0 the output starts with; a line holding a
-    -0, a NaN or any other value is transformed.  Only the first pass scans
-    the data: a later line is all +0 when every line it crosses was skipped.
+    A line whose words are all +0 transforms to +0, so it is left as the +0
+    the output starts with; a line holding a -0, a NaN or any other value is
+    transformed.  Only the first pass scans the data.  A 1-D array is one
+    line, transformed whatever it holds.
     """
     out = np.zeros(values.shape, dtype=complex)
-    words = np.bitwise_or.reduce(values.real.view(np.int64), axis=-1, keepdims=True)
-    words |= np.bitwise_or.reduce(values.imag.view(np.int64), axis=-1, keepdims=True)
-    live = words != 0
-    src = values
-    for ax in reversed(range(values.ndim)):
-        # A line along ``ax`` is live when it crosses a line live in the pass before.
-        live = np.any(live, axis=ax, keepdims=True)
-        _ifft_live_lines(src, out, ax, live)
+    if values.ndim == 1:
+        return _fft_lines(np.fft.ifft, values, out)
+    live = np.empty(values.shape[:-1] + (1,), dtype=bool)
+    re, im = values.real.view(np.int64), values.imag.view(np.int64)
+
+    def scan(rows):
+        words = np.bitwise_or.reduce(re[rows], axis=-1, keepdims=True)
+        words |= np.bitwise_or.reduce(im[rows], axis=-1, keepdims=True)
+        np.not_equal(words, 0, out=live[rows])
+
+    _by_rows(scan, values.shape)
+    return _fft_lines(np.fft.ifft, values, out, live)
+
+
+def _fft_lines(fft, src: np.ndarray, out: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+    """``fft`` along every axis from ``src`` into ``out``: ``np.fft.ifftn``/``fftn`` bit for bit.
+
+    The axes run last to first, as in ``ifftn`` and ``fftn``, and every line
+    goes through the same 1-D ``fft`` call, a block of lines at a time.
+    ``live`` (size 1 along the last axis) marks the lines of the first pass
+    to transform, and ``out`` must hold +0 on the others; a later line is
+    transformed when it crosses a line transformed before.  Without ``live``
+    every line is, and ``out`` may be ``src``.
+    """
+    if src.ndim == 1:
+        return fft(src, out=out)
+    for ax in reversed(range(src.ndim)):
+        if live is not None:
+            live = np.any(live, axis=ax, keepdims=True)
+        _line_pass(fft, src, out, ax, live)
         src = out
     return out
 
 
-def _ifft_live_lines(src: np.ndarray, out: np.ndarray, ax: int, live: np.ndarray) -> None:
-    """``np.fft.ifft`` along ``ax`` from ``src`` into ``out``, on the lines ``live`` marks.
-
-    ``live`` has size 1 along ``ax`` and broadcasts over the other axes.
-    """
-    if live.all():
-        np.fft.ifft(src, axis=ax, out=out)
-        return
-    if not live.any():
-        return
+def _line_pass(fft, src: np.ndarray, out: np.ndarray, ax: int, live: np.ndarray | None) -> None:
+    """``fft`` along ``ax`` from ``src`` into ``out``, on the lines ``live`` marks (size 1 along ``ax``)."""
     lines_in, lines_out = np.moveaxis(src, ax, -1), np.moveaxis(out, ax, -1)
-    picks = np.nonzero(np.broadcast_to(np.moveaxis(live, ax, -1)[..., 0], lines_in.shape[:-1]))
-    step = max(1, _BLOCK_VALUES // lines_in.shape[-1])
-    for lo in range(0, picks[0].size, step):
-        pick = tuple(p[lo:lo + step] for p in picks)
-        lines_out[pick] = np.fft.ifft(lines_in[pick], axis=-1)
+    if live is not None:
+        live = np.broadcast_to(np.moveaxis(live, ax, -1)[..., 0], lines_in.shape[:-1])
+
+    def task(rows):
+        if live is None or live[rows].all():
+            fft(lines_in[rows], axis=-1, out=lines_out[rows])
+        elif live[rows].any():
+            pick = np.nonzero(live[rows])
+            lines_out[rows][pick] = fft(lines_in[rows][pick], axis=-1)
+
+    _by_rows(task, lines_in.shape)
 
 
 def transform(field: Field) -> SpectralField:
@@ -321,8 +427,9 @@ def inverse(spectral: SpectralField, *factors: np.ndarray) -> Field:
     """
     g = spectral.grid
     vals = _product_by_rows(np.empty(g.shape(), dtype=complex), spectral.values, *factors, *_phases(g, -1j))
-    np.fft.fftn(vals, out=vals)
-    vals /= g.length**g.dim
+    _fft_lines(np.fft.fft, vals, vals)
+    scale = g.length**g.dim
+    _by_rows(lambda rows: np.divide(vals[rows], scale, out=vals[rows]), vals.shape)
     return Field(g, vals)
 
 
@@ -335,13 +442,19 @@ def _symbol_on_grid(sym: FracSymbol, grid: BoxGrid) -> np.ndarray:
     """
     if sym.dim != grid.dim:
         raise DimensionMismatch(f"symbol dimension {sym.dim} on a {grid.dim}-d grid")
+    lams = grid.axis_frequencies()
+    terms = [(t.coefficient, [branch_power(lam, a) for lam, a in zip(lams, t.alpha) if a != 0])
+             for t in sym.terms]
     out = np.zeros(grid.shape(), dtype=complex)
-    for t in sym.terms:
-        piece = t.coefficient
-        for lam, a in zip(grid.axis_frequencies(), t.alpha):
-            if a != 0:
-                piece = branch_power(lam, a) * piece
-        out += piece
+
+    def task(rows):
+        for coefficient, powers in terms:
+            piece = coefficient
+            for power in powers:
+                piece = _rows_of(power, rows) * piece
+            out[rows] += piece
+
+    _by_rows(task, out.shape)
     return out
 
 
@@ -456,10 +569,10 @@ def build_parametrix(sym: FracSymbol, grid: BoxGrid, radius: float | None = None
     # enters, and E_hat = 0 where chi = 1.
     e_box = np.zeros(p_box.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0 + 0j, e_vals, out=e_vals)
+        _by_rows(lambda rows: np.divide(1.0 + 0j, e_vals[rows], out=e_vals[rows]), e_vals.shape)
         np.divide(1.0 - chi_box, p_box, out=e_box, where=chi_box < 1.0)
     e_vals[box] = e_box
-    if not np.all(np.isfinite(e_vals)):
+    if not all(_by_rows(lambda rows: np.isfinite(e_vals[rows]).all(), e_vals.shape)):
         raise NoRFound(
             f"symbol vanishes outside the cutoff radius {radius:g}; "
             "enlarge the radius past the zeros of the full symbol"
@@ -501,21 +614,20 @@ class SolveResult:
         """
         g, radius = self.u.grid, self.parametrix.radius
         chi, f_hat = self.parametrix.chi.values, self.f_hat.values
-        step = _rows_per_block(g.shape())
-        blocks = [slice(lo, lo + step) for lo in range(0, g.m, step)]
         # np.max, not max(): a NaN sup must survive the reduction.
-        f_hat_sup = float(np.max([np.max(np.abs(f_hat[rows])) for rows in blocks]))
+        f_hat_sup = float(np.max(_by_rows(lambda rows: np.max(np.abs(f_hat[rows])), g.shape())))
         if math.isfinite(f_hat_sup):
             box, rho = _cutoff_box(g, radius)
             residual_sup = float(np.max(np.abs(-chi[box] * f_hat[box]), where=rho > radius + 1.0, initial=0.0))
         else:
             first, *others = g.axis_frequencies()
-            r_sups = []
+
+            def outside_sup(rows):
+                outside = _radii([first[rows], *others]) > radius + 1.0
+                return np.max(np.abs(-chi[rows] * f_hat[rows]), where=outside, initial=0.0)
+
             with np.errstate(invalid="ignore"):  # 0 * inf is the NaN the triple reports
-                for rows in blocks:
-                    outside = _radii([first[rows], *others]) > radius + 1.0
-                    r_sups.append(np.max(np.abs(-chi[rows] * f_hat[rows]), where=outside, initial=0.0))
-            residual_sup = float(np.max(r_sups))
+                residual_sup = float(np.max(_by_rows(outside_sup, g.shape())))
         return f_hat_sup, residual_sup, residual_sup <= 1e-12 * f_hat_sup
 
 

@@ -196,6 +196,17 @@ def test_caputo_equals_rl_for_infinite_base():
     assert cap == pytest.approx(rl, abs=1e-8)
 
 
+@pytest.mark.xfail(strict=True, reason="known fault: the graded mesh on [0, x] puts its first node near "
+                   "2.4e-7 * x, far past a unit-width gaussian, so far points come out wrong without a warning")
+def test_far_point_half_integral_of_a_gaussian_follows_its_asymptote():
+    # I^0.5 g(x) = x^-0.5 * int_0^inf g / Gamma(0.5) * (1 + O(1/x)) with int_0^inf g = sqrt(pi/2);
+    # at x = 1e6 the O(1/x) term is 4e-7 of the leading one.  The engine is 12% off there.
+    x = 1e6
+    lead = x**-0.5 * math.sqrt(math.pi / 2.0) / math.gamma(0.5)
+    got = differint(gaussian(0.0, 1.0), DifferintOrder(-0.5, 0.0), np.array([x]))
+    assert abs(got[0] - lead) <= 1e-4 * lead
+
+
 class TestDomainErrors:
     def test_integral_rejects_nonnegative_order(self):
         with pytest.raises(WrongSign):

@@ -3,7 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +26,14 @@ from fracpde import (
     bump,
     gaussian,
     polynomial,
+    run_regularity_experiment,
     step,
 )
 import fracpde.spectral as spectral
-from fracpde.cli import _CSV_ROW
+from fracpde.cli import _CSV_ROW, run_cli
 from fracpde.spectral import (
     BoxGrid,
     Field,
-    Parametrix,
     SolveResult,
     SpectralField,
     _FILE_MAGIC,
@@ -407,7 +414,7 @@ class TestAxisFactors:
         for i, a in enumerate(axes):
             assert np.array_equal(np.broadcast_to(a, g.shape()), lam[..., i])
 
-    @pytest.mark.parametrize("dim,m", [(1, 256), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("dim,m", [(1, 256), (2, 64), (3, 16), (2, 1024)])
     def test_transform_pair_matches_full_products(self, dim, m):
         # The transforms scale and phase-shift in place; the values are those
         # of the out-of-place products.
@@ -605,30 +612,36 @@ def _old_blocked_confinement(res):
 
 
 def _zero_slab_cases(dim, m):
-    """Inputs with zero slabs, -0 lines, a NaN line, and nothing but zeros."""
+    """Inputs with zero slabs, -0 lines, a NaN line, and nothing but zeros, as (name, values), one at a time."""
     rng = np.random.default_rng(dim * m)
     shape = (m,) * dim
     dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    yield "dense", dense
     slab = np.zeros(shape, dtype=complex)
     slab[(slice(m // 4, m // 2),) * dim] = dense[(slice(m // 4, m // 2),) * dim]
+    del dense
+    yield "slab", slab
     neg = slab.copy()
     neg[:2] = complex(-0.0, -0.0)  # two whole slabs of -0 in both parts
     neg.imag[-1] = -0.0
+    yield "neg_zero", neg
+    del neg
     nan_line = slab.copy()
     nan_line[(0,) * (dim - 1)] = 0.0
     nan_line[(1,) * dim] = np.nan
-    real_only = slab.real + 0j
-    return {"dense": dense, "slab": slab, "neg_zero": neg, "nan_line": nan_line,
-            "real_only": real_only, "all_zero": np.zeros(shape, dtype=complex),
-            "all_neg_zero": np.full(shape, complex(-0.0, -0.0))}
+    yield "nan_line", nan_line
+    del nan_line
+    yield "real_only", slab.real + 0j
+    yield "all_zero", np.zeros(shape, dtype=complex)
+    yield "all_neg_zero", np.full(shape, complex(-0.0, -0.0))
 
 
 class TestWorkOnSupport:
     """Cutoff, parametrix, transform and confinement do field-sized work only where it counts."""
 
-    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 32), (3, 16), (2, 1024), (3, 128)])
     def test_pruned_transform_matches_ifftn_bit_for_bit(self, dim, m):
-        for name, vals in _zero_slab_cases(dim, m).items():
+        for name, vals in _zero_slab_cases(dim, m):
             want = np.fft.ifftn(vals)
             assert np.array_equal(_bits(_ifftn(vals)), _bits(want)), name
             # A non-contiguous input goes through the same line scan.
@@ -680,7 +693,8 @@ class TestWorkOnSupport:
     @pytest.mark.parametrize("sym,g,radius", [(LAPLACE, BoxGrid(1, 512, 40.0), 4.0),  # P(0) = 0
                                               (FRAC_LAP_2D, BoxGrid(2, 64, 20.0), 3.0),  # P(0) = 0
                                               (MIXED_2D, BoxGrid(2, 64, 20.0), 3.0),
-                                              (PINNED_FIELDS[1][0], BoxGrid(3, 32, 20.0), 2.0)])
+                                              (PINNED_FIELDS[1][0], BoxGrid(3, 32, 20.0), 2.0),
+                                              (MIXED_2D, BoxGrid(2, 1024, 40.0), 3.0)])
     def test_parametrix_is_the_masked_division_bit_for_bit(self, sym, g, radius):
         par = build_parametrix(sym, g, radius)
         chi = par.chi.values
@@ -696,7 +710,8 @@ class TestWorkOnSupport:
         assert np.array_equal(res.parametrix.omega_hat.values, -chi)
         assert np.array_equal(res.residual_spectrum.values, -chi * res.f_hat.values)
 
-    @pytest.mark.parametrize("g", [BoxGrid(2, 64, 20.0), BoxGrid(3, 32, 20.0), BoxGrid(1, 256, 40.0)])
+    @pytest.mark.parametrize("g", [BoxGrid(2, 64, 20.0), BoxGrid(3, 32, 20.0), BoxGrid(1, 256, 40.0),
+                                   BoxGrid(2, 1024, 40.0)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_confinement_matches_the_blocked_scan(self, g, bad):
         sym = {1: LAPLACE, 2: FRAC_LAP_2D, 3: PINNED_FIELDS[1][0]}[g.dim]
@@ -721,7 +736,7 @@ class TestWorkOnSupport:
         assert np.array_equal(got.lo_edges, want.lo_edges)
         assert np.allclose(got.energy, want.energy, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("dim,m", [(2, 64), (3, 16)])
+    @pytest.mark.parametrize("dim,m", [(2, 64), (3, 16), (2, 1024)])
     def test_separable_samples_equal_the_float_product_cast(self, dim, m):
         # Signed factors with zeros, so the samples hold -0 as well as +0.
         def fn(x):
@@ -734,6 +749,96 @@ class TestWorkOnSupport:
             want = want * vals.reshape([m if k == ax else 1 for k in range(dim)])
         assert np.any(np.signbit(want[want == 0]))
         assert np.array_equal(_bits(sample_separable(g, fn).values), _bits(want.astype(complex)))
+
+
+class TestThreadedPasses:
+    """Passes over at least ``_THREADED_VALUES`` values run on the worker pool; smaller ones never ask for it."""
+
+    def test_small_grids_stay_on_the_calling_thread(self, monkeypatch, tmp_path):
+        def no_pool():
+            raise AssertionError("worker pool requested")
+
+        monkeypatch.setattr(spectral, "_workers", no_pool)
+        assert run_regularity_experiment()
+        assert run_cli(["--outdir", str(tmp_path), "verify", "--only", "parametrix_identity"]) == 0
+        # A grid of _THREADED_VALUES values does ask for it.
+        assert math.prod(BoxGrid(2, 1024, 40.0).shape()) == spectral._THREADED_VALUES
+        with pytest.raises(AssertionError, match="worker pool requested"):
+            transform(sample_separable(BoxGrid(2, 1024, 40.0), gaussian(0.0, 1.0).value))
+
+    def test_every_block_runs_once_on_more_threads_than_cpus(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(8)
+        monkeypatch.setattr(spectral, "_workers", lambda: (pool, 8))
+        shape = (1024, 1024)  # 32 blocks of 32 rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                hits = np.zeros(shape[0], dtype=int)
+
+                def task(rows):
+                    hits[rows] += 1
+                    if rows.start == 0 and failing:
+                        raise ValueError("block 0")
+                    time.sleep(0.001)  # the other blocks are still running when block 0 fails
+                    return rows.start
+
+                failing = False
+                assert spectral._by_rows(task, shape) == list(range(0, shape[0], 32))
+                assert np.all(hits == 1)
+                # A failing block surfaces its error only after every other block has run.
+                failing, hits[:] = True, 0
+                with pytest.raises(ValueError, match="block 0"):
+                    spectral._by_rows(task, shape)
+                assert np.all(hits == 1)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_forked_child_runs_its_own_pool(self):
+        vals = np.random.default_rng(3).standard_normal((1024, 1024)) + 0j
+        want = np.fft.ifftn(vals)
+        assert np.array_equal(_bits(_ifftn(vals)), _bits(want))
+        assert (spectral._pool is not None) == (len(os.sched_getaffinity(0)) > 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork() with threads running
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(_bits(_ifftn(vals)), _bits(want)) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on its transform")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_a_one_cpu_process_starts_no_thread(self):
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        script = (
+            "import os, threading\n"
+            "import numpy as np\n"
+            "import fracpde.spectral as spectral\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "vals = np.ones((1024, 1024), dtype=complex)\n"
+            "assert np.array_equal(spectral._ifftn(vals), np.fft.ifftn(vals))\n"
+            "print(threading.active_count(), spectral._pool)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "None"]
 
 
 CSV_AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, 5e-324,

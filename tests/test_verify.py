@@ -8,7 +8,7 @@ import pytest
 from fracpde import NotElliptic, UnknownCheckId, gaussian, step
 from fracpde import verify
 from fracpde.fracops import QuadratureConfig
-from fracpde.sobolev import estimate_regularity, windowed_shells
+from fracpde.sobolev import estimate_regularity, fit_regularity, windowed_shells
 from fracpde.spectral import sample_separable, solve_elliptic
 from fracpde.symbols import FracSymbol, SymbolTerm
 from fracpde.verify import (
@@ -236,7 +236,7 @@ class TestExperiment:
             f = sample_separable(cfg.box(1), f_spec.value)
             u = solve_elliptic(op, f, cfg.cutoff_radius).u
             est_f = estimate_regularity(f, min_radius=min_radius)
-            est_u = estimate_regularity(u, min_radius=min_radius, floor=windowed_shells(f).floor())
+            est_u = fit_regularity(windowed_shells(u), 1, min_radius=min_radius, floor=windowed_shells(f).floor())
             assert (row.s_f, row.s_u) == (est_f.s_star, est_u.s_star)
             assert row.capped == (est_f.capped or est_u.capped)
             assert row.reliable == (est_f.reliable and est_u.reliable)
