@@ -12,6 +12,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -26,7 +27,7 @@ from fracpde.functions import SampledCurve, bump, gaussian, step
 from fracpde.sobolev import estimate_regularity
 from fracpde.spectral import BoxGrid, sample_field, solve_elliptic
 from fracpde.symbols import FracSymbol
-from fracpde.verify import VerifyConfig
+from fracpde.verify import CANONICAL_CHECK_IDS, VerifyConfig
 
 MONO_07 = '{"dim": 1, "terms": [{"c": [1.0, 0.0], "alpha": [0.7]}]}'
 MONO_05 = '{"dim": 1, "terms": [{"c": [1.0, 0.0], "alpha": [0.5]}]}'
@@ -163,6 +164,15 @@ class TestDifferint:
         assert run_cli(["differint", "--func", doc, "--nu", "0.5", "--at", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ValueError: malformed function document: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("nu", ["170.5", "1500.5"])
+    def test_order_beyond_float64_is_a_computation_error(self, capsys, nu):
+        # The moment path's coefficients overflow: exit 1, not warnings and a NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--nu", nu, "--at", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonConvergent: ") and "Warning" not in err
 
     # The grid starts at -L/2 = -10: a derivative needs every x > c, an
     # integral (and a Caputo derivative, an integral of f') allows x = c.
@@ -504,20 +514,45 @@ class TestTopLevel:
         assert not _module_loaded_after("", module)
 
     @pytest.mark.parametrize(
-        "commands, loaded",
+        "commands",
         [
-            ([["-n", "2", "-m", "64", "-L", "20", "solve", "--op", FRAC_LAP_2D, "--forcing", "step",
-               "--output", "u.field"],
-              ["-n", "2", "-m", "64", "-L", "20", "sobolev", "--field", "u.field"]], False),
-            ([["symbol", "--op", FRAC_LAP_2D]], False),
-            ([["experiment", "regularity"]], False),
-            ([["differint", "--func", "power", "--nu", "0.5", "--at", "1"]], True),
+            [["-n", "2", "-m", "64", "-L", "20", "solve", "--op", FRAC_LAP_2D, "--forcing", "step",
+              "--output", "u.field"],
+             ["-n", "2", "-m", "64", "-L", "20", "sobolev", "--field", "u.field"]],
+            [["symbol", "--op", FRAC_LAP_2D]],
+            [["experiment", "regularity"]],
+            [["differint", "--func", "power", "--nu", "0.5", "--at", "1"]],
         ],
         ids=["solve-sobolev", "symbol", "experiment", "differint"],
     )
-    def test_scipy_special_loads_at_the_first_gamma_value(self, tmp_path, commands, loaded):
+    def test_scipy_special_loads_at_the_first_gamma_value(self, tmp_path, commands):
+        """Only a Gamma value off the real axis loads scipy.special, and no command asks for one."""
         code = "".join(f"assert run_cli({argv!r}) == 0\n" for argv in commands)
-        assert _module_loaded_after(f"from fracpde.cli import run_cli\n{code}", "scipy.special", tmp_path) == loaded
+        assert not _module_loaded_after(f"from fracpde.cli import run_cli\n{code}", "scipy.special", tmp_path)
+
+    def test_real_order_commands_load_no_scipy_module(self, tmp_path):
+        # Every differint method at one point and on the grid, and every
+        # identity check but schwartz_conv (whose fftconvolve is scipy.signal).
+        gauss = ["differint", "--func", "gaussian", "--nu", "0.5"]
+        commands = [
+            *([*gauss, "--c", base, "--method", method, *where]
+              for method, base in [("quadrature", "-inf"), ("caputo", "-inf"), ("fourier", "-inf")]
+              for where in (["--at", "0.3"], ["--grid"])),
+            [*gauss, "--c", "-3", "--method", "hankel", "--at", "0.3"],
+            ["differint", "--func", "power", "--nu", "0.5", "--at", "1"],
+            *(["verify", "--only", check] for check in CANONICAL_CHECK_IDS if check != "schwartz_conv"),
+        ]
+        code = "".join(
+            f"assert run_cli({argv!r}) == 0\n"
+            f"assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], {argv!r}\n"
+            for argv in commands
+        )
+        assert not _module_loaded_after(f"from fracpde.cli import run_cli\n{code}", "scipy", tmp_path)
+
+    def test_gamma_off_the_real_axis_loads_scipy_special(self):
+        code = ("from fracpde import DifferintOrder, power, rl_derivative\n"
+                "rl_derivative(power(1.0), DifferintOrder(0.5 + 0.2j), 1.0)")
+        assert _module_loaded_after(code, "scipy.special")
 
     HALF_AT_ONE = ["differint", "--func", "power", "--nu", "0.5", "--at", "1"]
 

@@ -12,8 +12,10 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from fracpde import (
@@ -114,6 +116,51 @@ class TestOracle:
     def test_no_closed_form_for_steps(self):
         with pytest.raises(ValueError):
             closed_form_oracle(step(), DifferintOrder(0.5, 0.0), 2.0)
+
+
+def _gamma_edge_arguments() -> list[float]:
+    """Zeros, infinities, NaN, subnormals, the poles, and both sides of each branch point."""
+    tiny = math.nextafter(0.0, 1.0)
+    pts = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 1e-310, -1e-310, 1e-9, -1e-9]
+    pts += [float(k) for k in range(-200, 201)]
+    # 34.84... is where older Cephes switched 1/Gamma to exp(-lgamma); Gamma overflows at the last.
+    for b in (4.0, -4.0, 33.0, -33.0, 34.84425627277176, 143.01608, 171.624376956302725):
+        pts += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    return pts
+
+
+class TestGamma:
+    """The private Gamma and 1/Gamma of a real argument."""
+
+    @pytest.mark.parametrize("ours, theirs", [(fracops._gamma, scipy.special.gamma),
+                                              (fracops._rgamma, scipy.special.rgamma)],
+                             ids=["gamma", "rgamma"])
+    def test_real_arguments_give_scipys_bits(self, ours, theirs):
+        xs = np.concatenate([np.random.default_rng(2024).uniform(-200.0, 200.0, 100_000),
+                             _gamma_edge_arguments()])
+        got = np.array([ours(x) for x in xs.tolist()])
+        want = theirs(xs)
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), xs[~same][:5]
+
+    def test_real_arguments_as_complex_are_within_1e_15_of_mpmath(self):
+        xs = np.random.default_rng(7).uniform(-200.0, 200.0, 2000).tolist() + [0.5, 1.5, -0.5, 2.3]
+        checked = 0
+        with mpmath.workprec(120):
+            for x in xs:
+                z = complex(x, 0.0)
+                for ours, ref in ((fracops._gamma(z), mpmath.gamma(x)), (fracops._rgamma(z), mpmath.rgamma(x))):
+                    assert isinstance(ours, float)
+                    if not 1e-300 < abs(ref) < 1e300:
+                        continue
+                    assert abs((ours - ref) / ref) <= 1e-15, x
+                    checked += 1
+        assert checked > 3000
+
+    @pytest.mark.parametrize("z", [0.5 + 0.2j, -3.7 - 1e-3j, 12.0 + 5.0j, -0.5 + 1e-300j])
+    def test_complex_arguments_give_scipys_values(self, z):
+        assert fracops._gamma(z) == scipy.special.gamma(z)
+        assert fracops._rgamma(z) == scipy.special.rgamma(z)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
