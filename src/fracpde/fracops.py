@@ -20,10 +20,11 @@ other:
     variable (the mesh is fixed in ``tau = (x-y)/(x-base)``, so the nodes
     move affinely with ``x`` and the formula differentiates term by term).
     Points above a compact support see a smooth kernel and take the
-    continued formula for ``D^nu`` directly, so a batch straddling the
-    support end is split between the two.  Only inputs without usable
-    closed-form derivatives on ``[base, x]`` fall back to central finite
-    differences of the integral.
+    continued formula for ``D^nu`` directly, on a mesh placed on the
+    support so the input is evaluated once for all of them; a batch
+    straddling the support end is split between the two.  Only inputs
+    without usable closed-form derivatives on ``[base, x]`` fall back to
+    central finite differences of the integral.
     The (points x nodes) integrand matrices are built and reduced in row
     blocks of bounded size, in float64 when the order and the input are
     real, so memory does not grow with the batch.
@@ -419,21 +420,28 @@ def _translated_rule(values_fn, x: np.ndarray, t: np.ndarray, w: np.ndarray, wha
     return out
 
 
-def _shifted_rule(f, x: np.ndarray, t1: np.ndarray, t2: np.ndarray, mu,
-                  config: QuadratureConfig) -> np.ndarray:
-    """Product integration over ``t = x - y`` in ``[t1, t2]``, away from the kernel singularity.
+def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: QuadratureConfig) -> np.ndarray:
+    """Product integration over ``y`` in ``[lo, hi]`` for points ``x > hi``, away from the kernel singularity.
 
-    Each row gets the graded mesh scaled onto its own range and the weights
-    of kernel order ``mu`` on it, built one row block at a time.
+    The graded mesh lies on the support, so the input is evaluated once and
+    its piecewise-linear pieces (values ``f_k``, slopes ``g_k`` in
+    ``t = x - y``) serve every row.  A row block forms only the kernel
+    moments of its own ``t``: with ``m0_k`` and ``m1_k`` the integrals of
+    ``t^(mu-1)`` and ``t^(mu-1) (t - t_k)`` over ``[t_k, t_(k+1)]``, a row's
+    value is ``m0 @ f_k + m1 @ g_k``.
     """
-    tau = _graded_mesh(config.subintervals, config.grading)
+    y = hi - (hi - lo) * _graded_mesh(config.subintervals, config.grading)
+    y[0], y[-1] = hi, lo
+    fv = np.asarray(f.value(y))
+    _check_finite(fv, "input")
+    fk, gk = fv[:-1], np.diff(fv) / (y[:-1] - y[1:])
     out = np.empty(x.shape, dtype=complex)
-    for rows in _row_blocks(x.size, tau.size):
-        a = t1[rows, None]
-        t = a + (t2[rows, None] - a) * tau
-        fv = np.asarray(f.value(x[rows, None] - t))
-        _check_finite(fv, "input")
-        out[rows] = np.einsum("ij,ij->i", fv, _node_weights(t, mu))
+    for rows in _row_blocks(x.size, y.size):
+        t = x[rows, None] - y
+        tp = np.exp(mu * np.log(t))
+        m0 = np.diff(tp, axis=-1) / mu
+        m1 = np.diff(t * tp, axis=-1) / (mu + 1) - t[:, :-1] * m0
+        out[rows] = m0 @ fk + m1 @ gk
     return out
 
 
@@ -461,14 +469,14 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
 
     if c != MINUS_INF and np.any(x <= c if n else x < c):
         raise DomainOrder(f"evaluation point {'at or ' if n else ''}below the base point")
-    lo = np.full_like(x, c)
-    if support is not None:
-        lo = np.maximum(lo, support[0])
+    lo = c if support is None else max(c, support[0])
     out = np.zeros(x.shape, dtype=complex)
+    if support is not None and lo >= support[1]:
+        return out  # a base at or above the support's end: the input vanishes on (c, x]
     live = x > lo  # points at or below the support start see a vanishing integrand
     if not np.any(live):
         return out
-    x, lo = x[live], lo[live]
+    x = x[live]
     eps_near = np.min(x - lo) * 1e-9
     if n and fe.smooth_order_on(float(np.min(x) - eps_near), float(np.max(x) + eps_near)) < n:
         raise NotSmoothEnough(f"input lacks {n} continuous derivatives near the evaluation points")
@@ -476,27 +484,26 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
     above = x > support[1] if support is not None else np.zeros(x.shape, dtype=bool)
     res = np.zeros(x.shape, dtype=complex)
     if np.any(above) and not (n and nu.imag == 0 and nu.real == round(nu.real)):
-        # Input vanishes near x: the kernel is smooth on t = x - y in
-        # [x - support end, x - lo], differentiates under the integral, and
-        # the formula continues to D^nu directly (a derivative of integer
-        # order is zero there).
+        # The input vanishes near x, so the kernel (x - y)^(-nu-1) is smooth
+        # on [lo, support end]; it differentiates under the integral, and the
+        # formula continues to D^nu directly (a derivative of integer order
+        # is zero there).  The mesh is placed on the support, not relative
+        # to x, so every such point shares one evaluation of the input.
         mu_above = _real_if_real(-nu)
-        xa = x[above]
-        res[above] = _shifted_rule(fe, xa, xa - support[1], xa - lo[above], mu_above, config)
-        res[above] *= _rgamma(mu_above)
+        res[above] = _shifted_rule(fe, x[above], lo, support[1], mu_above, config) * _rgamma(mu_above)
 
     inside = ~above
     if np.any(inside):
-        xi, li = x[inside], lo[inside]
+        xi = x[inside]
         try:
             # A derivative without closed-form derivatives on [lo, x] takes the stencil.
-            if n and (fe.derivative_cap < n or fe.smooth_order_on(float(np.min(li)), float(np.max(xi))) < n):
+            if n and (fe.derivative_cap < n or fe.smooth_order_on(lo, float(np.max(xi))) < n):
                 raise NotSmoothEnough
-            res[inside] = _derivative_moment_path(fe, n, mu, xi, li, config)
+            res[inside] = _derivative_moment_path(fe, n, mu, xi, lo, config)
         except NotSmoothEnough:
             if not n:
                 raise
-            res[inside] = _stencil_path(fe, nu, n, c, xi, float(np.min(xi - li)), config)
+            res[inside] = _stencil_path(fe, nu, n, c, xi, float(np.min(xi - lo)), config)
     out[live] = res
     return out
 
@@ -565,11 +572,11 @@ def _derivative_moment_path(fe, n: int, mu, x, lo, config) -> np.ndarray:
     except OverflowError:  # a binomial beyond float64, from n of about 1030
         raise NonConvergent(too_high) from None
     base_col = sigma == 0.0
-    s = (x - lo).astype(float)
+    s = x - lo
 
     moments = np.empty((n + 1, x.size), dtype=complex)
     for rows in _row_blocks(x.size, tau.size):
-        z = lo[rows, None] + s[rows, None] * sigma
+        z = lo + s[rows, None] * sigma
         for k in range(n + 1):
             m = n - k
             fv = np.asarray(fe.derivative_values(z, m) if m else fe.value(z))

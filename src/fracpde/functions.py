@@ -321,16 +321,27 @@ def _power_value(y, p):
 
 
 def _gaussian_derivative(y, center, width, m):
-    # f^(m) = (-1/w)^m He_m(z) f with probabilists' Hermite, z = (y-c)/w.
-    z = (np.asarray(y) - center) / width
-    he_prev, he = np.ones_like(z), z.copy()
-    if m == 1:
-        hem = he
-    else:
+    # f^(m) = (-1/w)^m He_m(z) f with probabilists' Hermite, z = (y-c)/w.  The
+    # recurrence and the exponential run in place: block-sized temporaries
+    # freed together at return are trimmed and faulted in again by the next
+    # call.  A 0-d input is worked on as a 0-d array and returned as a scalar.
+    z = np.asarray(np.asarray(y) - center)
+    z /= width
+    g = z.copy()
+    g *= -0.5
+    g *= z
+    np.exp(g, out=g)
+    he = z
+    if m > 1:
+        he, he_prev, zhe = z.copy(), np.ones_like(z), np.empty_like(z)
         for k in range(1, m):
-            he_prev, he = he, z * he - k * he_prev
-        hem = he
-    return (-1.0 / width) ** m * hem * np.exp(-0.5 * z * z)
+            np.multiply(z, he, out=zhe)
+            he_prev *= k
+            np.subtract(zhe, he_prev, out=he_prev)
+            he_prev, he = he, he_prev
+    he *= (-1.0 / width) ** m
+    he *= g
+    return he[()]
 
 
 def _bump_value(y, center, radius):

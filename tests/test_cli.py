@@ -165,6 +165,16 @@ class TestDifferint:
         err = capsys.readouterr().err
         assert err.startswith("ValueError: malformed function document: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("base", ["1", "2"])
+    def test_base_at_or_above_the_support_end_prints_zero(self, capsys, base):
+        # The step vanishes on (c, 2.5]: once NaN with a warning, once a closed-end leak.
+        argv = ["differint", "--func", '{"kind": "step", "a": 0, "b": 1}', "--nu", "-0.5", "--c", base,
+                "--at", "2.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 0
+        assert capsys.readouterr().out.strip() == "0"
+
     @pytest.mark.parametrize("nu", ["170.5", "1500.5"])
     def test_order_beyond_float64_is_a_computation_error(self, capsys, nu):
         # The moment path's coefficients overflow: exit 1, not warnings and a NaN.

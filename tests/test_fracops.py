@@ -11,6 +11,7 @@ evaluated independently of the code under test.
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -225,6 +226,62 @@ def test_integer_order_integral_above_support_is_not_zero(nu, want):
     # I^1 and I^2 of the indicator of [0, 1] at 3: int_0^1 dy and int_0^1 (3 - y) dy.
     got = rl_integral(step(0, 1), DifferintOrder(nu, 0.0), 3.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [-0.5, -1.3, 0.5])
+def test_step_seen_from_above_matches_its_closed_form(nu):
+    # The linear pieces reproduce a constant exactly, so only rounding is left.
+    x, alpha = np.linspace(1.05, 20.0, 4000), -nu
+    want = (x**alpha - (x - 1.0) ** alpha) / math.gamma(alpha + 1)
+    got = differint(step(0.0, 1.0), DifferintOrder(nu, 0.0), x)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-14
+
+
+@pytest.mark.parametrize("nu", [0.55, -0.7, 0.45 + 0.3j])
+def test_bump_seen_from_above_matches_mpmath(nu):
+    center, radius = 0.1, 2.0
+    xs = np.array([2.2, 5.0, 20.0, 1e2, 1e3, 1e4])
+    got = differint(bump(center, radius), DifferintOrder(nu, MINUS_INF), xs)
+    with mpmath.workdps(20):
+        c, mu = mpmath.mpf(center), mpmath.mpmathify(-nu)
+
+        def f(y):
+            r2 = ((y - c) / radius) ** 2
+            return mpmath.exp(1 - 1 / (1 - r2)) if r2 < 1 else 0
+
+        want = [complex(mpmath.quad(lambda y: (x - y) ** (mu - 1) * f(y), [c - radius, c, c + radius])
+                        * mpmath.rgamma(mu)) for x in map(mpmath.mpf, xs)]
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-6
+
+
+def test_points_above_the_support_share_one_evaluation_of_the_input():
+    class Counting:
+        def __init__(self, base):
+            self.base, self.points = base, 0
+
+        def value(self, y):
+            self.points += np.size(y)
+            return self.base.value(y)
+
+        def __getattr__(self, name):
+            return getattr(self.base, name)
+
+    f = Counting(bump(0.1, 2.0))
+    rl_derivative(f, DifferintOrder(0.55, MINUS_INF), np.linspace(2.2, 20.0, 200), FAST)
+    assert 0 < f.points <= FAST.subintervals + 1
+
+
+@pytest.mark.parametrize("f", [step(0.0, 1.0), bump(0.5, 0.5), SampledCurve(0.0, 0.25, np.ones(5))],
+                         ids=["step", "bump", "sampled"])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_base_at_or_above_the_support_end_gives_zero(f, c):
+    # The input vanishes on (c, x]: no NaN from an empty mesh, no leak from the reversed range.
+    x = np.array([c, 2.5, 7.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(rl_integral(f, DifferintOrder(-0.5, c), x) == 0)
+        assert np.all(rl_derivative(f, DifferintOrder(0.5, c), x[1:]) == 0)
+        assert np.all(rl_derivative(f, DifferintOrder(1.3 + 0.2j, c), x[1:]) == 0)
 
 
 def test_base_point_is_in_the_integral_domain_only():
@@ -649,35 +706,49 @@ class TestCaches:
 # Inputs, orders and bases of the dispatch pin.  Together they reach every
 # product-integration path (moving base, moment path, above the support,
 # stencil), a point at the base, and each domain and smoothness error.
-PIN_INPUTS = (
-    power(0.5), power(0.3 + 0.2j), polynomial([1.0, -0.5]), gaussian(0.5, 0.6), bump(1.0, 0.5),
-    step(0.0, 1.0), SampledCurve(-1.0, 0.25, np.cos(np.linspace(-1.0, 2.0, 13))),
-    CallableFn(lambda y: np.exp(-y * y), derivatives=(lambda y: -2.0 * y * np.exp(-y * y),),
-               truncation=8.0),
-)
+PIN_INPUTS = {
+    "power-half": power(0.5),
+    "power-complex": power(0.3 + 0.2j),
+    "polynomial": polynomial([1.0, -0.5]),
+    "gaussian": gaussian(0.5, 0.6),
+    "bump": bump(1.0, 0.5),
+    "step": step(0.0, 1.0),
+    "sampled": SampledCurve(-1.0, 0.25, np.cos(np.linspace(-1.0, 2.0, 13))),
+    "callable": CallableFn(lambda y: np.exp(-y * y), derivatives=(lambda y: -2.0 * y * np.exp(-y * y),),
+                           truncation=8.0),
+}
 PIN_ENGINES = (
     (rl_integral, (-0.5, -1.0, -1.2, -0.7 + 0.4j)),
     (rl_derivative, (0.5, 1.0, 1.3, 0.7 + 0.4j)),
     (caputo_derivative, (0.5, 1.0, 1.3, 0.7 + 0.4j)),
 )
+# One digest per input, so a path that moves shows which inputs it moved;
+# CHANGES.md records why a digest was re-taken and how far its values moved.
+PIN_DIGESTS = {
+    "power-half": "f026b8138d2c4c8fc2a100f6739137c43c52ec63e8a2dbd8a87fe8fe79cc5962",
+    "power-complex": "fd7e5a1b53aa143af303c517ef2541bcd6abb743b07e82344c79c970b6ed34da",
+    "polynomial": "8b4b0919336a5232c429b7b95e246c0c2dee2359eced336987db4dd164f257b9",
+    "gaussian": "5b793b30be490a30532e07ca4791d3be5e838005de61cb87ed653a87742b4495",
+    "bump": "4d09f8ddac9ba0e315043af9d505d659e80dc4435284c95be92f02e2ce78fa35",
+    "step": "62f550a070477a5295bf8f3cc5dd72fdf7455995b7738255b7f1108b06f1ccbe",
+    "sampled": "f11bc8f4bafc7cb73ad2bc19f01994b68bbb42de7f9360c5e1d7e95c3749d2cf",
+    "callable": "2ecb597fe8106f7444f3aec071a77aab2621a512ee799b83e6b6a9efd30605be",
+}
 
 
-def test_quadrature_dispatch_bits_are_pinned():
-    """sha256 of every value's int64 view, or of the error, over a fixed matrix.
-
-    The digest was taken while the integral and the derivative each had
-    their own dispatch, so it pins the shared one to those bits.
-    """
+@pytest.mark.parametrize("name", PIN_INPUTS)
+def test_quadrature_dispatch_bits_are_pinned(name):
+    """sha256 of every value's int64 view, or of the error, over a fixed matrix per input."""
+    f = PIN_INPUTS[name]
     digest = hashlib.sha256()
     config = QuadratureConfig(subintervals=128)
     for engine, orders in PIN_ENGINES:
-        for f in PIN_INPUTS:
-            for nu in orders:
-                for c in (0.0, -2.0, MINUS_INF):
-                    for x in (np.linspace(0.1, 2.5, 9), 0.0):
-                        try:
-                            got = np.array(engine(f, DifferintOrder(nu, c), x, config), dtype=complex, ndmin=1)
-                            digest.update(got.view(np.int64).tobytes())
-                        except FracpdeError as exc:
-                            digest.update(f"{type(exc).__name__}: {exc}".encode())
-    assert digest.hexdigest() == "2498bfe4461571b2e21a8b40c1e89b540435201658b48c96616f55fdcb80902d"
+        for nu in orders:
+            for c in (0.0, -2.0, MINUS_INF):
+                for x in (np.linspace(0.1, 2.5, 9), 0.0):
+                    try:
+                        got = np.array(engine(f, DifferintOrder(nu, c), x, config), dtype=complex, ndmin=1)
+                        digest.update(got.view(np.int64).tobytes())
+                    except FracpdeError as exc:
+                        digest.update(f"{type(exc).__name__}: {exc}".encode())
+    assert digest.hexdigest() == PIN_DIGESTS[name]
