@@ -137,7 +137,8 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
 @click.option("--grading", default=_DEFAULTS.verify.quadrature.grading, show_default=True,
               help="Quadrature mesh grading.")
 @click.option("--truncation", type=float, default=None,
-              help="Tail truncation length for base -inf (default: automatic).")
+              help="Tail truncation length for base -inf and an input without compact support "
+                   "(default: automatic).")
 @click.option("--cutoff-radius", "-R", type=float, default=None,
               help=f"Parametrix cutoff radius (default: bound scan for solve, "
                    f"{_DEFAULTS.verify.cutoff_radius:g} for verify and experiment).")

@@ -87,141 +87,43 @@ MINUS_INF = float("-inf")
 _DC_TOL = 1e-10
 
 
-# Gamma and 1/Gamma of a real argument follow Cephes (Moshier, *Methods and
-# Programs for Mathematical Functions*, 1989) as scipy.special runs it, and
-# give scipy's values bit for bit: a rational P/Q approximation on [2, 3]
-# reached by recurrence, Stirling's series above 33, reflection below -33,
-# and a Chebyshev series for 1/Gamma on [-4, 4].  So no command that needs
-# only real Gamma values imports scipy.special (about 0.3 s); a complex
-# argument off the real axis takes scipy's complex Gamma, loaded at its
-# first use.
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
-            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
-            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
-             3.47222221605458667310e-3, 8.33333333333482257126e-2)
-_RGAMMA_CHEB = (3.13173458231230000000e-17, -6.70718606477908000000e-16, 2.20039078172259550000e-15,
-                2.47691630348254132600e-13, -6.60074100411295197440e-12, 5.13850186324226978840e-11,
-                1.08965386454418662084e-9, -3.33964630686836942556e-8, 2.68975996440595483619e-7,
-                2.96001177518801696639e-6, -8.04814124978471142852e-5, 4.16609138709688864714e-4,
-                5.06579864028608725080e-3, -6.41925436109158228810e-2, -4.98558728684003594785e-3,
-                1.27546015610523951063e-1)
-#: Gamma overflows at and above this argument.
-_MAXGAM = 171.624376956302725
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner's rule, highest power first."""
-    out = coef[0]
-    for c in coef[1:]:
-        out = out * x + c
-    return out
-
-
-def _stirling(x: float) -> float:
-    """Gamma(x) for 33 < x by Stirling's series."""
-    if x >= _MAXGAM:
-        return math.inf
-    w = 1.0 / x
-    w = 1.0 + w * _polevl(w, _STIRLING)
-    y = math.exp(x)
-    if x > 143.01608:  # x**(x - 0.5) would overflow: take it as a square
-        v = math.pow(x, 0.5 * x - 0.25)
-        y = v * (v / y)
-    else:
-        y = math.pow(x, x - 0.5) / y
-    return 2.50662827463100050242 * y * w
-
-
-def _real_gamma(x: float) -> float:
-    """Gamma(x): NaN at the poles and at -inf, +-inf at +-0."""
-    if not math.isfinite(x):
-        return x if x > 0 else math.nan
-    if x == 0:
-        return math.copysign(math.inf, x)
-    q = abs(x)
-    if q > 33.0:
-        if x > 0:
-            return _stirling(x)
-        p = float(math.floor(q))
-        if p == q:
-            return math.nan
-        sign = -1.0 if int(p) % 2 == 0 else 1.0
-        z = q - p
-        if z > 0.5:
-            z = q - (p + 1.0)
-        z = q * math.sin(math.pi * z)
-        if z == 0.0:
-            return sign * math.inf
-        return sign * (math.pi / (abs(z) * _stirling(q)))
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x <= -1e-9:
-        z /= x
-        x += 1.0
-    while 1e-9 <= x < 2.0:
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    if x < 1e-9:  # |x| < 1e-9: Gamma(x) ~ 1/(x + euler*x^2)
-        return z / ((1.0 + 0.5772156649015329 * x) * x) if x else math.nan
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
-
-def _real_rgamma(x: float) -> float:
-    """1/Gamma(x): 0 at the poles and at -inf, and -0.0 at -0.0."""
-    if x == 0:
-        return x
-    if x < 0 and (x.is_integer() or math.isinf(x)):
-        return 0.0
-    if abs(x) > 4.0:
-        g = _real_gamma(x)
-        return 1.0 / g if g else math.copysign(math.inf, g)
-    z, w = 1.0, x
-    while w > 1.0:
-        w -= 1.0
-        z *= w
-    while w < 0.0:
-        z /= w
-        w += 1.0
-    if w == 0.0:
-        return 0.0
-    if w == 1.0:
-        return 1.0 / z
-    # Chebyshev series of 1/(w Gamma(w)) - 1 on [0, 1], by Clenshaw's recurrence.
-    t = 4.0 * w - 2.0
-    b0, b1, b2 = _RGAMMA_CHEB[0], 0.0, 0.0
-    for c in _RGAMMA_CHEB[1:]:
-        b2, b1 = b1, b0
-        b0 = t * b1 - b2 + c
-    return w * (1.0 + 0.5 * (b0 - b2)) / z
-
-
+# Gamma and 1/Gamma of a real argument come from ``math.gamma`` (within
+# about 1e-15 relative of the true values), so no command that needs only
+# real Gamma values imports scipy.special (about 0.3 s).  Its domain and
+# range errors map to the limits: Gamma is NaN at the poles and at -inf and
+# a signed inf at +-0 and on overflow.  A complex argument off the real axis
+# takes scipy's complex Gamma, loaded at its first use.
 def _gamma(z):
     """Gamma(z): a float for a real ``z`` (a float, or a complex with zero imaginary part)."""
     z = complex(z)
-    if not z.imag:
-        return _real_gamma(z.real)
-    from scipy.special import gamma
+    if z.imag:
+        from scipy.special import gamma
 
-    return gamma(z)
+        return gamma(z)
+    x = z.real
+    try:
+        return math.gamma(x)
+    except ValueError:  # +-0, a pole or -inf
+        return math.copysign(math.inf, x) if x == 0 else math.nan
+    except OverflowError:  # above 171.62, or |x| below 5.6e-309
+        return math.copysign(math.inf, x)
 
 
 def _rgamma(z):
     """1/Gamma(z): a float for a real ``z`` (a float, or a complex with zero imaginary part)."""
     z = complex(z)
-    if not z.imag:
-        return _real_rgamma(z.real)
-    from scipy.special import rgamma
+    if z.imag:
+        from scipy.special import rgamma
 
-    return rgamma(z)
+        return rgamma(z)
+    x = z.real
+    try:
+        g = math.gamma(x)
+    except (ValueError, OverflowError):
+        # At +-0 and subnormal x, 1/Gamma(x) is x to rounding; at a pole, at
+        # -inf and above the overflow point it is 0.
+        return x if abs(x) < 1.0 else 0.0
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 @dataclass(frozen=True)
@@ -264,7 +166,9 @@ class QuadratureConfig:
     ``grading`` toward both ends of the integration range (``grading = 1``
     is uniform; larger values cluster nodes at the kernel singularity
     ``y -> x`` and at the base point).  ``truncation_length`` overrides the
-    automatic tail cut used when ``c = -inf``.
+    automatic tail cut used when ``c = -inf`` and the input has no compact
+    support.  It has no effect on a finite base, or on a step, a bump or a
+    sampled curve, whose support bounds the integral exactly.
     """
 
     subintervals: int = 2048
@@ -724,29 +628,35 @@ def hankel_differintegral(
     def kernel(y: np.ndarray, arg: np.ndarray) -> np.ndarray:
         return np.exp((-nu - 1) * (np.log(np.abs(y - x)) + 1j * arg)) * np.asarray(f.value(y))
 
-    # Lower segment c -> junction_lo, nodes clustered toward the circle.
-    s = np.linspace(0.0, 1.0, m_seg)
-    tgrid = 1.0 - (1.0 - s) ** 2
-    y = c + (junction_lo - c) * tgrid
-    arg = np.angle(y - x)
-    arg = np.where(arg > 0, arg - 2 * math.pi, arg)  # endpoint at the cut: arg = -pi
-    dy = (junction_lo - c) * 2.0 * (1.0 - s)
-    low = np.trapezoid(kernel(y, arg) * dy, s)
+    # At a high order the kernel, Gamma(nu + 1) or their product overflows
+    # float64; a result that is not finite is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Lower segment c -> junction_lo, nodes clustered toward the circle.
+        s = np.linspace(0.0, 1.0, m_seg)
+        tgrid = 1.0 - (1.0 - s) ** 2
+        y = c + (junction_lo - c) * tgrid
+        arg = np.angle(y - x)
+        arg = np.where(arg > 0, arg - 2 * math.pi, arg)  # endpoint at the cut: arg = -pi
+        dy = (junction_lo - c) * 2.0 * (1.0 - s)
+        low = np.trapezoid(kernel(y, arg) * dy, s)
 
-    theta = np.linspace(-ang, ang, m_circ)
-    y = x + r * np.exp(1j * theta)
-    dy = 1j * r * np.exp(1j * theta)
-    circ = np.trapezoid(kernel(y, theta) * dy, theta)
+        theta = np.linspace(-ang, ang, m_circ)
+        y = x + r * np.exp(1j * theta)
+        dy = 1j * r * np.exp(1j * theta)
+        circ = np.trapezoid(kernel(y, theta) * dy, theta)
 
-    s = np.linspace(0.0, 1.0, m_seg)
-    tgrid = s**2  # mirror clustering: dense at the circle end
-    y = junction_hi + (c - junction_hi) * tgrid
-    arg = np.angle(y - x)
-    arg = np.where(arg < 0, arg + 2 * math.pi, arg)
-    dy = (c - junction_hi) * 2.0 * s
-    high = np.trapezoid(kernel(y, arg) * dy, s)
+        s = np.linspace(0.0, 1.0, m_seg)
+        tgrid = s**2  # mirror clustering: dense at the circle end
+        y = junction_hi + (c - junction_hi) * tgrid
+        arg = np.angle(y - x)
+        arg = np.where(arg < 0, arg + 2 * math.pi, arg)
+        dy = (c - junction_hi) * 2.0 * s
+        high = np.trapezoid(kernel(y, arg) * dy, s)
 
-    return _gamma(nu + 1) / (2j * math.pi) * (low + circ + high)
+        out = _gamma(nu + 1) / (2j * math.pi) * (low + circ + high)
+    if not cmath.isfinite(out):
+        raise NonConvergent("loop integral overflows float64 at this order")
+    return out
 
 
 # -- Fourier multiplier ----------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import EdgeLeakageWarning, UnknownCheckId
 from .fileio import atomic_write_text
 from .fracops import (
-    _gamma,
     DEFAULT_QUADRATURE,
     DifferintOrder,
     QuadratureConfig,
@@ -155,7 +154,7 @@ def _check_compose_integrals(config: VerifyConfig) -> tuple:
     fixtures = [(0.0, -0.5, -0.5), (1.5, -0.3, -0.9), (1.0, -1.1, -0.6)]
     errs, sample = [], None
     for p, mu, nu in fixtures:
-        scale = _gamma(p + 1.0) / _gamma(p + 1.0 - nu)
+        scale = math.gamma(p + 1.0) / math.gamma(p + 1.0 - nu)
         inner = power(p - nu)
         composed = scale * rl_integral(inner, DifferintOrder(mu, 0.0), xs, config=quad)
         direct = _power_rule(p, mu + nu, xs)
@@ -190,7 +189,7 @@ def _check_compose_derivatives(config: VerifyConfig) -> tuple:
         chain = (f, *derivs)
         for k in range(1, n + 1):
             f_at_base = complex(chain[n - k].value(np.array([0.0]))[0])
-            rhs = rhs + xs ** (-mu - k) / _gamma(1.0 - mu - k) * f_at_base
+            rhs = rhs + xs ** (-mu - k) / math.gamma(1.0 - mu - k) * f_at_base
         errs.append(np.abs(lhs - rhs) / np.abs(rhs))
         if mu == -0.5:
             sample = complex(lhs[1])

@@ -184,6 +184,27 @@ class TestDifferint:
         err = capsys.readouterr().err
         assert err.startswith("NonConvergent: ") and "Warning" not in err
 
+    @pytest.mark.parametrize("nu, base", [("170.5", "-3"), ("200.5", "-3"), ("300.5", "0.29")])
+    def test_hankel_order_beyond_float64_is_a_computation_error(self, capsys, nu, base):
+        # Gamma(nu + 1), the loop kernel or their product overflows: exit 1, not a NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--method", "hankel", "--nu", nu,
+                            "--c", base, "--at", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonConvergent: ") and "Warning" not in err
+
+    @pytest.mark.parametrize("func, full, truncated", [
+        ("bump", "0.34423457719549", "0.34423457719549"),
+        ("gaussian", "0.367402299357472", "-0.10280450546703"),
+    ])
+    def test_truncation_sets_only_the_tail_of_an_input_without_support(self, capsys, func, full, truncated):
+        # A bump's support bounds the integral from -inf exactly; a gaussian's tail is cut.
+        point = ["differint", "--func", func, "--nu", "0.5", "--c", "-inf", "--at", "0.3"]
+        assert run_cli(point) == 0
+        assert run_cli(["--truncation", "0.5", *point]) == 0
+        assert capsys.readouterr().out.split() == [full, truncated]
+
     # The grid starts at -L/2 = -10: a derivative needs every x > c, an
     # integral (and a Caputo derivative, an integral of f') allows x = c.
     @pytest.mark.parametrize("nu, base, method, code", [
