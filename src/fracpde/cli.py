@@ -136,9 +136,6 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
               help="Quadrature subintervals.")
 @click.option("--grading", default=_DEFAULTS.verify.quadrature.grading, show_default=True,
               help="Quadrature mesh grading.")
-@click.option("--truncation", type=float, default=None,
-              help="Tail truncation length for base -inf and an input without compact support "
-                   "(default: automatic).")
 @click.option("--cutoff-radius", "-R", type=float, default=None,
               help=f"Parametrix cutoff radius (default: bound scan for solve, "
                    f"{_DEFAULTS.verify.cutoff_radius:g} for verify and experiment).")
@@ -150,15 +147,15 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
               envvar="FRACPDE_OUTDIR", show_default=True,
               help="Output directory (env: FRACPDE_OUTDIR).")
 @click.pass_context
-def main(ctx, grid_m, grid_length, grid_dim, subintervals, grading, truncation,
-         cutoff_radius, gain_tolerance_1d, gain_tolerance_2d, outdir):
+def main(ctx, grid_m, grid_length, grid_dim, subintervals, grading, cutoff_radius,
+         gain_tolerance_1d, gain_tolerance_2d, outdir):
     """Fractional differintegrals, elliptic symbols, solves, and estimates."""
     radius = {} if cutoff_radius is None else {"cutoff_radius": cutoff_radius}
     try:
         verify = VerifyConfig(
             grid_m=grid_m,
             grid_length=grid_length,
-            quadrature=QuadratureConfig(subintervals, grading, truncation),
+            quadrature=QuadratureConfig(subintervals, grading),
             gain_tolerance_1d=gain_tolerance_1d,
             gain_tolerance_2d=gain_tolerance_2d,
             **radius,

@@ -86,6 +86,10 @@ MINUS_INF = float("-inf")
 # counts as zero for the multiplier of a nonpositive order.
 _DC_TOL = 1e-10
 
+# Samples at the box edges above this fraction of the peak have not decayed
+# enough for the multiplier.
+_EDGE_TOL = 1e-8
+
 
 # Gamma and 1/Gamma of a real argument come from ``math.gamma`` (within
 # about 1e-15 relative of the true values), so no command that needs only
@@ -165,23 +169,19 @@ class QuadratureConfig:
     ``subintervals`` linear pieces on a mesh graded with exponent
     ``grading`` toward both ends of the integration range (``grading = 1``
     is uniform; larger values cluster nodes at the kernel singularity
-    ``y -> x`` and at the base point).  ``truncation_length`` overrides the
-    automatic tail cut used when ``c = -inf`` and the input has no compact
-    support.  It has no effect on a finite base, or on a step, a bump or a
-    sampled curve, whose support bounds the integral exactly.
+    ``y -> x`` and at the base point).  The tail cut of a base at ``-inf``
+    is not a setting: an input with a support is integrated over it exactly,
+    and any other input names its own cut (``truncation_length``).
     """
 
     subintervals: int = 2048
     grading: float = 2.0
-    truncation_length: float | None = None
 
     def __post_init__(self):
         if self.subintervals < 2:
             raise ValueError("need at least 2 subintervals")
         if not self.grading >= 1.0:
             raise ValueError("grading exponent must be >= 1")
-        if self.truncation_length is not None and not self.truncation_length > 0:
-            raise ValueError("truncation length must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -264,16 +264,14 @@ def _mesh_weights(n_sub: int, grading: float, mu: complex | float) -> np.ndarray
     return w
 
 
-def _tail_span(f, x: np.ndarray, config: QuadratureConfig) -> float:
-    """Length of the truncated tail integral for a base point at -inf."""
-    if config.truncation_length is not None:
-        return float(config.truncation_length)
+def _tail_span(f, x: np.ndarray) -> float:
+    """Length of the truncated tail integral for a base point at -inf, from the input's own cut."""
     try:
         # truncation_length is nondecreasing in x, so the last point needs the most.
         return f.truncation_length(float(np.max(x)))
     except ValueError as exc:
-        # Raised only by inputs that do not decay: power, polynomial, an untruncated callable.
-        raise NonConvergent("input does not decay toward -inf; integral diverges") from exc
+        # Raised by inputs with no cut: power, polynomial, a callable without a truncation.
+        raise NonConvergent(str(exc)) from exc
 
 
 def _tail_rule(values_fn, mu: complex, x: np.ndarray, span: float, n_sub: int,
@@ -359,11 +357,11 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
     run.
     """
     mu = _real_if_real(n - nu)
-    support = getattr(fe, "support", None)
+    support = fe.support
     if c == MINUS_INF and support is None:
         # Tail mesh is rigid in t = x - y, so the formula translates with x
         # and the outer derivative lands directly on the integrand.
-        span = _tail_span(fe, x, config)
+        span = _tail_span(fe, x)
         if n and fe.derivative_cap < n:
             return _stencil_path(fe, nu, n, c, x, span, config)
         values = (lambda z: fe.derivative_values(z, n)) if n else fe.value
@@ -427,8 +425,11 @@ def rl_integral(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_
     Parameters
     ----------
     f:
-        FunctionSpec, SampledCurve, or callable (callables need an explicit
-        truncation length when ``order.c`` is ``-inf``).
+        FunctionSpec, SampledCurve, or callable.  From ``order.c = -inf`` an
+        input with a support is integrated over it exactly; any other input
+        sets its own tail cut: a decaying catalog kind computes it, a bare
+        callable needs ``CallableFn(fn, truncation=L)``, and a power or a
+        polynomial raises ``NonConvergent``.
     order:
         Order and base point; ``Re(order.nu) < 0`` is required.
     x:
@@ -562,7 +563,7 @@ class _DerivativeOf:
 
     @property
     def support(self):
-        return getattr(self.base, "support", None)
+        return self.base.support
 
     def smooth_order_on(self, lo, hi):
         return max(self.base.smooth_order_on(lo, hi) - self.n, 0)
@@ -703,7 +704,6 @@ def fourier_differint(
     nu: complex,
     *,
     pad_factor: int = 32,
-    edge_tol: float = 1e-8,
 ) -> SampledCurve:
     """Whole-line differintegral of uniform samples by Fourier multiplier.
 
@@ -713,7 +713,8 @@ def fourier_differint(
     derivative of a localized function decays only algebraically
     downstream, so padding keeps the periodization error well below the
     quadrature cross-check tolerances.  Requires the samples themselves to
-    have decayed at the box edges.
+    have decayed at the box edges: an edge sample above 1e-8 of the peak
+    raises ``EdgeLeakage``.
 
     The first ``m`` outputs of that round trip are a circular convolution of
     the samples with the kernel ``fft(multiplier) / N`` that reads only the
@@ -725,12 +726,13 @@ def fourier_differint(
     only acceptable for ``Re(nu) <= 0`` (``nu != 0``) when the sample mean
     vanishes; otherwise ``DCUndefined`` is raised.  That guard compares the
     mean with 1e-10 times the largest coefficient of the padded ``N``-point
-    spectrum.
+    spectrum.  An order so high that the kernel or the result overflows
+    float64 raises ``NonConvergent``.
     """
     nu = complex(nu)
     vals = u.values
     peak = np.max(np.abs(vals))
-    if peak > 0 and max(abs(vals[0]), abs(vals[-1])) > edge_tol * peak:
+    if peak > 0 and max(abs(vals[0]), abs(vals[-1])) > _EDGE_TOL * peak:
         raise EdgeLeakage("samples have not decayed at the box edges")
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
@@ -744,9 +746,17 @@ def fourier_differint(
         del spec
 
     lags = np.arange(1 - m, m) % big
-    kernel = np.fft.fft(_fftfreq_multiplier(big, u.dx, nu))[lags] / big
-    size = 1 << (2 * m - 2).bit_length()
-    out = np.fft.ifft(np.fft.fft(vals, size) * np.fft.fft(kernel, size))[m - 1 : 2 * m - 1]
+    too_high = "multiplier overflows float64 at this order"
+    # At a high order |lambda|^nu overflows float64; a kernel or a result
+    # that is not finite is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = np.fft.fft(_fftfreq_multiplier(big, u.dx, nu))[lags] / big
+        if not np.all(np.isfinite(kernel)):
+            raise NonConvergent(too_high)
+        size = 1 << (2 * m - 2).bit_length()
+        out = np.fft.ifft(np.fft.fft(vals, size) * np.fft.fft(kernel, size))[m - 1 : 2 * m - 1]
+    if not np.all(np.isfinite(out)):
+        raise NonConvergent(too_high)
     return SampledCurve(u.x0, u.dx, out)
 
 

@@ -242,18 +242,16 @@ class FunctionSpec:
         """Base-point offset L so the tail below ``x - L`` is negligible.
 
         Nondecreasing in ``x``, so the largest point of a batch sets the
-        cut for all of it.
+        cut for all of it.  Only the decaying kinds without a support have
+        one; the engines bound a step or a bump by its support instead.
         """
         k, p = self.kind, self.params
-        if k in ("step", "bump"):
-            lo = self.support[0]
-            return max(x - lo, 0.0)
         if k == "exponential":
             return _EXP_TAIL_FACTOR / p["a"]
         if k == "gaussian":
             left = p["center"] - _GAUSS_TAIL_SIGMAS * p["width"]
             return max(x - left, 2.0 * p["width"])
-        raise ValueError(f"{k} does not decay toward -inf")
+        raise ValueError("input does not decay toward -inf; integral diverges")
 
     # -- serialization ------------------------------------------------------
 
@@ -467,10 +465,6 @@ class SampledCurve:
     def smooth_order_on(self, lo: float, hi: float) -> int:
         return 0
 
-    def truncation_length(self, x: float) -> float:
-        """Distance back to the first sample; nondecreasing in ``x``."""
-        return max(x - self.x0, 0.0)
-
 
 @dataclass(frozen=True)
 class CallableFn:
@@ -516,7 +510,8 @@ class CallableFn:
     def truncation_length(self, x: float) -> float:
         """The explicit truncation length, the same for every ``x``."""
         if self.truncation is None:
-            raise ValueError("callable input needs an explicit truncation length for c = -inf")
+            raise ValueError("callable input needs an explicit truncation length for c = -inf: "
+                             "wrap it as CallableFn(fn, truncation=L)")
         return self.truncation
 
     def label(self) -> str:
@@ -525,7 +520,7 @@ class CallableFn:
 
 def as_evaluable(f):
     """Normalize engine input to an object with the evaluable interface."""
-    if hasattr(f, "value") and hasattr(f, "truncation_length"):
+    if hasattr(f, "value") and hasattr(f, "support"):
         return f
     if callable(f):
         return CallableFn(f)

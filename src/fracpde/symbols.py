@@ -41,9 +41,10 @@ __all__ = [
 _ORDER_DIGITS = 12
 
 # Directions per dimension on the unit sphere for the ellipticity and bound
-# scans, and log-spaced shells in the bound scan.
+# scans, and log-spaced shells in the bound scan up to its ceiling |lambda|.
 _DIRECTIONS_PER_DIM = 64
 _SCAN_RADII = 192
+_SCAN_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -469,32 +470,29 @@ def _ratio_objective(sym: FracSymbol, order: float, dir0: np.ndarray):
     return ratio
 
 
-def estimate_bounds(
-    sym: FracSymbol,
-    radius: float = 1.0,
-    scan_max: float = 1e4,
-) -> BoundsEstimate:
+def estimate_bounds(sym: FracSymbol, radius: float = 1.0) -> BoundsEstimate:
     """Sampled ellipticity constants outside the smallest viable radius.
 
     Scans ``|sigma(lambda)| / (1 + |lambda|^2)^(order/2)`` on log-spaced
-    shells and returns the smallest scanned radius from which the infimum
-    out to ``scan_max`` stays positive, with that infimum and the matching
-    supremum as the constants, nudged outward by 0.1% so that fresh sample
-    points stay inside them.  Each candidate infimum is polished over
-    radius and direction with a private Nelder-Mead equal to scipy's bit
-    for bit, so full-symbol zeros between shells push the radius outward
-    instead of slipping through the sampling.
+    shells from ``radius`` out to the ceiling ``|lambda| = 1e4`` (reported
+    as ``scan_max``) and returns the smallest scanned radius from which the
+    infimum out to the ceiling stays positive, with that infimum and the
+    matching supremum as the constants, nudged outward by 0.1% so that
+    fresh sample points stay inside them.  Each candidate infimum is
+    polished over radius and direction with a private Nelder-Mead equal to
+    scipy's bit for bit, so full-symbol zeros between shells push the
+    radius outward instead of slipping through the sampling.
     """
-    if radius <= 0 or scan_max <= radius:
-        raise ValueError("need 0 < radius < scan_max")
+    if radius <= 0 or _SCAN_MAX <= radius:
+        raise ValueError(f"need 0 < radius < {_SCAN_MAX:g}, the scan ceiling")
     require_elliptic(sym)
     info = order_and_gap(sym)
     threshold = 1e-9 * sym.coefficient_scale()
     dirs = sphere_samples(sym.dim)
-    radii = np.logspace(math.log10(radius), math.log10(scan_max), _SCAN_RADII)
+    radii = np.logspace(math.log10(radius), math.log10(_SCAN_MAX), _SCAN_RADII)
     lam = radii[:, None, None] * dirs[None, :, :]
     ratio = np.abs(symbol_eval(sym, lam)) / (1.0 + radii**2)[:, None] ** (info.order / 2.0)
-    hi_logr = math.log(scan_max)
+    hi_logr = math.log(_SCAN_MAX)
     k = 0
     while k < _SCAN_RADII:
         block = ratio[k:]
@@ -506,11 +504,11 @@ def estimate_bounds(
         lo = min(grid_val, polish_val)
         if lo > threshold:
             return BoundsEstimate(
-                0.999 * lo, 1.001 * float(block.max()), float(radii[k]), float(scan_max)
+                0.999 * lo, 1.001 * float(block.max()), float(radii[k]), _SCAN_MAX
             )
         bad = [r for r, v in ((polish_r, polish_val), (float(radii[k + i]), grid_val)) if v <= threshold]
         k = max(k + 1, int(np.searchsorted(radii, max(bad), side="right")))
     raise NoRFound(
-        f"the symbol still vanishes near |lambda| = {scan_max:g}; "
+        f"the symbol still vanishes near |lambda| = {_SCAN_MAX:g}; "
         "no viable radius below the scan ceiling"
     )

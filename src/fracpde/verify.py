@@ -72,7 +72,7 @@ class VerifyConfig:
     work, and 512 per axis above one dimension.  ``quadrature`` drives
     every quadrature engine call; the refined checks (``cauchy_equiv``,
     ``schwartz_conv``) derive theirs from it with four times the
-    subintervals, keeping its grading and tail truncation.
+    subintervals, keeping its grading.
     ``cutoff_radius`` is the parametrix cutoff of the gain experiment, and
     ``gain_tolerance_1d`` / ``gain_tolerance_2d`` the allowed
     ``|gain - order|`` on 1-D and on higher-dimensional rows.  The values

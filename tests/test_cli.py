@@ -194,16 +194,27 @@ class TestDifferint:
         err = capsys.readouterr().err
         assert err.startswith("NonConvergent: ") and "Warning" not in err
 
-    @pytest.mark.parametrize("func, full, truncated", [
-        ("bump", "0.34423457719549", "0.34423457719549"),
-        ("gaussian", "0.367402299357472", "-0.10280450546703"),
-    ])
-    def test_truncation_sets_only_the_tail_of_an_input_without_support(self, capsys, func, full, truncated):
-        # A bump's support bounds the integral from -inf exactly; a gaussian's tail is cut.
-        point = ["differint", "--func", func, "--nu", "0.5", "--c", "-inf", "--at", "0.3"]
-        assert run_cli(point) == 0
-        assert run_cli(["--truncation", "0.5", *point]) == 0
-        assert capsys.readouterr().out.split() == [full, truncated]
+    @pytest.mark.parametrize("where", [["--at", "0.3"], ["--grid"]], ids=["at", "grid"])
+    def test_fourier_order_beyond_float64_is_a_computation_error(self, capsys, where):
+        # |lambda|^nu overflows the multiplier: exit 1, not warnings and NaN rows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--method", "fourier", "--nu", "200.5",
+                            "--c", "-inf", *where]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NonConvergent: ") and "Warning" not in captured.err
+
+    def test_fourier_high_finite_order_keeps_its_value(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--method", "fourier", "--nu", "60.5",
+                            "--c", "-inf", "--at", "0.3"]) == 0
+        assert capsys.readouterr().out == "3.54321096086816e+134+8.13469347100169e+134j\n"
+
+    def test_power_from_minus_inf_is_a_computation_error(self, capsys):
+        assert run_cli(["differint", "--func", "power", "--nu", "0.5", "--c", "-inf", "--at", "0.3"]) == 1
+        assert capsys.readouterr().err == "NonConvergent: input does not decay toward -inf; integral diverges\n"
 
     # The grid starts at -L/2 = -10: a derivative needs every x > c, an
     # integral (and a Caputo derivative, an integral of f') allows x = c.
@@ -598,8 +609,6 @@ class TestTopLevel:
             (["-N", "1"], "need at least 2 subintervals"),
             (["--grading", "0.5"], "grading exponent must be >= 1"),
             (["--grading", "nan"], "grading exponent must be >= 1"),
-            (["--truncation", "-1"], "truncation length must be positive"),
-            (["--truncation", "nan"], "truncation length must be positive"),
         ],
     )
     def test_quadrature_options_are_checked_by_the_library(self, runner, option, message):
@@ -607,8 +616,9 @@ class TestTopLevel:
         assert result.exit_code == 2
         assert message in result.output
 
-    def test_seed_option_is_gone(self, runner):
-        result = runner.invoke(main, ["--seed", "3", *self.HALF_AT_ONE])
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--truncation", "0.5"]], ids=["seed", "truncation"])
+    def test_seed_option_is_gone(self, runner, option):
+        result = runner.invoke(main, [*option, *self.HALF_AT_ONE])
         assert result.exit_code == 2
         assert "No such option" in result.output
 
@@ -625,18 +635,12 @@ class TestTopLevel:
         assert self._built_config(runner, monkeypatch, tmp_path, []) == VerifyConfig()
 
     def test_group_options_reach_the_verify_config(self, runner, monkeypatch, tmp_path):
-        options = ["-m", "2048", "-L", "30", "-N", "512", "--grading", "1.5", "--truncation", "9",
+        options = ["-m", "2048", "-L", "30", "-N", "512", "--grading", "1.5",
                    "-R", "3", "--gain-tolerance-1d", "0.3", "--gain-tolerance-2d", "0.4"]
         want = VerifyConfig(grid_m=2048, grid_length=30.0, cutoff_radius=3.0,
-                            quadrature=QuadratureConfig(512, 1.5, 9.0),
+                            quadrature=QuadratureConfig(512, 1.5),
                             gain_tolerance_1d=0.3, gain_tolerance_2d=0.4)
         assert self._built_config(runner, monkeypatch, tmp_path, options) == want
-
-    def test_truncation_reaches_verify(self, runner, tmp_path):
-        result = runner.invoke(main, ["--outdir", str(tmp_path), "--truncation", "1e-6",
-                                      "verify", "--only", "exp_eigen"])
-        assert result.exit_code == 1
-        assert "exp_eigen: FAIL" in result.output
 
     @pytest.mark.parametrize("option, field, value", [
         (["-R", "0"], "cutoff_radius", 0.0),

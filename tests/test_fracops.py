@@ -349,6 +349,15 @@ class TestDomainErrors:
         with pytest.raises(NonConvergent):
             rl_integral(power(2), DifferintOrder(-0.5, MINUS_INF), 1.0)
 
+    @pytest.mark.parametrize("f, reason", [
+        (lambda y: np.exp(-y * y), "wrap it as CallableFn(fn, truncation=L)"),
+        (power(0.5), "input does not decay toward -inf; integral diverges"),
+    ], ids=["bare-callable", "power"])
+    def test_tail_error_gives_the_input_s_reason(self, f, reason):
+        with pytest.raises(NonConvergent) as exc:
+            rl_integral(f, DifferintOrder(-0.5, MINUS_INF), 0.3)
+        assert reason in str(exc.value)
+
     def test_derivative_needs_smoothness_at_the_point(self):
         with pytest.raises(NotSmoothEnough):
             rl_derivative(step(-1, 1), DifferintOrder(0.5, -2.0), np.array([0.5, 1.5]))
@@ -434,12 +443,14 @@ class TestFourier:
         prod = fourier_multiplier(lam, 0.5) ** 2
         assert np.allclose(prod, fourier_multiplier(lam, 1.0), atol=1e-13)
 
-    def test_composition_of_half_orders_in_the_interior(self):
+    def test_composition_of_half_orders_in_the_interior(self, monkeypatch):
         # The half-order output decays only algebraically downstream, so the
         # second pass is compared away from the box edges (and the decay
         # guard is waived for it).
         u = self.curve(gaussian(0, 1))
-        twice = fourier_differint(fourier_differint(u, 0.5), 0.5, edge_tol=1.0)
+        half = fourier_differint(u, 0.5)
+        monkeypatch.setattr(fracops, "_EDGE_TOL", 1.0)
+        twice = fourier_differint(half, 0.5)
         once = fourier_differint(u, 1.0)
         interior = np.abs(self.xs) <= self.L / 4
         assert np.max(np.abs(twice.values[interior] - once.values[interior])) < 1e-4

@@ -115,9 +115,8 @@ class TestMetadata:
             polynomial([1.0, 2.0]).truncation_length(0.0)
 
     @pytest.mark.parametrize("f", [
-        exponential(0.7), gaussian(1.0, 1.5), step(-1.0, 2.0), bump(0.5, 2.0),
-        SampledCurve(-3.0, 0.5, np.ones(13)), CallableFn(np.tanh, truncation=8.0),
-    ], ids=["exponential", "gaussian", "step", "bump", "sampled", "callable"])
+        exponential(0.7), gaussian(1.0, 1.5), CallableFn(np.tanh, truncation=8.0),
+    ], ids=["exponential", "gaussian", "callable"])
     def test_truncation_length_is_nondecreasing(self, f):
         # The engines take one batch's tail cut from its largest point.
         xs = np.linspace(-30.0, 30.0, 601)

@@ -184,7 +184,7 @@ class TestBounds:
 
     def test_low_order_term_fades(self):
         sym = FracSymbol(1, (SymbolTerm(1, (0.5,)), SymbolTerm(2, (0.0,))))
-        est = estimate_bounds(sym, radius=1.0, scan_max=1e4)
+        est = estimate_bounds(sym, radius=1.0)
         assert est.lower == pytest.approx(1.0, rel=0.05)
 
     def test_lower_never_exceeds_upper(self):
@@ -216,14 +216,14 @@ class TestBounds:
             estimate_bounds(SADDLE_2D)
 
     def test_zero_at_scan_ceiling(self):
-        # Zero exactly at the last scanned shell: no suffix is clean.
-        sym = FracSymbol(1, (SymbolTerm(1, (2.0,)), SymbolTerm(-1e4, (0.0,))))
+        # Zero exactly at the last scanned shell, |lambda| = 1e4: no suffix is clean.
+        sym = FracSymbol(1, (SymbolTerm(1, (2.0,)), SymbolTerm(-1e8, (0.0,))))
         with pytest.raises(NoRFound):
-            estimate_bounds(sym, radius=1.0, scan_max=100.0)
+            estimate_bounds(sym, radius=1.0)
 
     def test_bad_scan_window(self):
         with pytest.raises(ValueError):
-            estimate_bounds(LAPLACE_1D, radius=10.0, scan_max=1.0)
+            estimate_bounds(LAPLACE_1D, radius=1e5)
 
 
 class TestProduct:

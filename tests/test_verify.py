@@ -113,10 +113,6 @@ class TestIdentitySuite:
         default = next(r for r in suite if r.check_id == "power_rule")
         assert coarse.max_error != default.max_error
 
-    def test_truncation_reaches_the_checks(self):
-        cfg = VerifyConfig(quadrature=QuadratureConfig(truncation_length=1e-6))
-        assert not run_identity_suite({"exp_eigen"}, cfg)[0].passed
-
     def test_canonical_ids_are_the_registered_checks_in_order(self):
         assert CANONICAL_CHECK_IDS == (
             "compose_integrals", "compose_derivatives", "caputo_rl_equiv", "fourier_lemma", "cauchy_equiv",
@@ -150,8 +146,8 @@ class TestVerifyConfig:
             VerifyConfig(**{field: value})
 
     def test_refined_quadrature_keeps_grading_and_truncation(self):
-        quad = QuadratureConfig(subintervals=100, grading=1.5, truncation_length=7.0)
-        assert verify._refined(quad) == QuadratureConfig(400, 1.5, 7.0)
+        quad = QuadratureConfig(subintervals=100, grading=1.5)
+        assert verify._refined(quad) == QuadratureConfig(400, 1.5)
 
 
 class TestCommutator:
