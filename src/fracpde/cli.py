@@ -309,6 +309,10 @@ def sobolev_command(cfg: RunConfig, field_file, func, s_order, min_radius):
     """Sobolev norm or regularity estimate of a field or catalog function."""
     if (field_file is None) == (func is None):
         raise click.UsageError("pass exactly one of --field and --func")
+    if s_order is not None and not math.isfinite(s_order):
+        raise click.UsageError(f"--s must be a finite number, got {s_order}")
+    if not math.isfinite(min_radius):
+        raise click.UsageError(f"--min-radius must be a finite number, got {min_radius}")
     source = click.get_current_context().get_parameter_source("min_radius")
     if s_order is not None and source is not ParameterSource.DEFAULT:
         raise click.UsageError("--min-radius sets the regularity fit; --s evaluates a norm without one")

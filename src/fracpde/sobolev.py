@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewBands, UnreliableFitWarning
+from .errors import NonConvergent, TooFewBands, UnreliableFitWarning
 from .functions import bump
 from .spectral import BoxGrid, Field, SpectralField, _along, _by_rows, _ifftn, _radii, _warn_on_edges, transform
 
@@ -65,12 +65,30 @@ def sobolev_norm(u, s: float) -> float:
 
     Accepts a :class:`Field` (transformed first) or a ready
     :class:`SpectralField`; the frequency cell volume is ``(2 pi / L)^n``.
+    The terms are formed a block of rows at a time into one real grid, and
+    summed by one ``np.sum`` of it.
+
+    Raises
+    ------
+    NonConvergent
+        If the sum is not finite in float64: a term overflowed, or the
+        field holds a non-finite value.
     """
-    spec = _spectrum_of(u)
-    g = spec.grid
-    rho2 = g.frequency_radii() ** 2
+    g = u.grid
+    first, *others = g.axis_frequencies()
     cell = (2.0 * math.pi / g.length) ** g.dim
-    total = float(np.sum((1.0 + rho2) ** s * np.abs(spec.values) ** 2)) * cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = _spectrum_of(u).values
+        terms = np.empty(g.shape())
+
+        def weigh_rows(rows):
+            rho2 = _radii([first[rows], *others]) ** 2
+            np.multiply((1.0 + rho2) ** s, np.abs(spec[rows]) ** 2, out=terms[rows])
+
+        _by_rows(weigh_rows, g.shape())
+        total = float(np.sum(terms)) * cell
+    if not math.isfinite(total):
+        raise NonConvergent(f"the H^{s:g} norm is not finite in float64")
     return math.sqrt(total)
 
 
@@ -108,10 +126,21 @@ def shell_spectrum(u) -> ShellSpectrum:
     """Band-averaged energy spectrum between the 4th bin and 3/4 Nyquist.
 
     The first three frequency bins reflect box truncation and the top
-    quarter of the band reflects aliasing; both are excluded.  Radii, band
-    indices, counts and ``|u_hat|^2`` are formed a block of rows at a time;
-    the band energies are summed by one ``np.bincount`` over the grid in
-    element order.
+    quarter of the band reflects aliasing; both are excluded.  Only the
+    frequencies with every ``|lambda_i| < 3/4 Nyquist`` can enter a band,
+    since ``|lambda| >= max |lambda_i|``: a :class:`Field` is transformed
+    only as far as that box needs, and radii, band indices, counts and
+    ``|u_hat|^2`` are formed on the box alone, a block of rows at a time.
+    The band energies are summed by one ``np.bincount`` over the box in the
+    grid's element order, so each band adds the terms a whole-grid binning
+    adds, in the same order.
+
+    Raises
+    ------
+    TooFewBands
+        If fewer than four bands hold a grid frequency.
+    ValueError
+        If a band energy is not finite: the field holds non-finite values.
     """
     g = u.grid
     lo = 4.0 * (2.0 * math.pi / g.length)
@@ -120,34 +149,41 @@ def shell_spectrum(u) -> ShellSpectrum:
         raise TooFewBands("grid resolves no frequencies between the DC guard and 3/4 Nyquist")
     n_bands = max(int(round(_BANDS_PER_OCTAVE * math.log2(hi / lo))), 1)
     edges = np.geomspace(lo, hi, n_bands + 1)
+    lam = g.frequencies()
+    inside = np.abs(lam) < hi
     if isinstance(u, SpectralField):
         spec, scale = u.values, 1.0
     else:
         # |transform(u)|^2 is |ifftn(u)|^2 (L^n)^2: the phase factors have modulus 1.
         _warn_on_edges(u)
-        spec, scale = _ifftn(u.values), float(g.length**g.dim) ** 2
+        spec, scale = _ifftn(u.values, inside), float(g.length**g.dim) ** 2
+    idx = np.flatnonzero(inside)
+    box_shape = (idx.size,) * g.dim
+    first, *others = (_along(lam[idx], ax, g.dim) for ax in range(g.dim))
     # Values outside every band go to the extra bin n_bands, which is dropped.
-    first, *others = g.axis_frequencies()
-    which = np.empty(g.shape(), dtype=np.intp)
-    power = np.empty(g.shape())
+    which = np.empty(box_shape, dtype=np.intp)
+    power = np.empty(box_shape)
 
     def bin_rows(rows):
         rho = _radii([first[rows], *others])
         band = np.digitize(rho, edges) - 1
         band[(band < 0) | (band >= n_bands) | (rho >= hi)] = n_bands
         which[rows] = band
-        np.square(np.abs(spec[rows]), out=power[rows])
+        np.square(np.abs(spec[np.ix_(idx[rows], *[idx] * (g.dim - 1))]), out=power[rows])
         return np.bincount(band.ravel(), minlength=n_bands + 1)
 
-    counts = np.sum(_by_rows(bin_rows, g.shape()), axis=0)[:n_bands]
+    counts = np.sum(_by_rows(bin_rows, box_shape), axis=0)[:n_bands]
     sums = np.bincount(which.ravel(), weights=power.ravel(), minlength=n_bands + 1)[:n_bands] * scale
     keep = counts > 0
     if keep.sum() < 4:
         raise TooFewBands(f"only {int(keep.sum())} populated shells on this grid")
+    energy = sums[keep] / counts[keep]
+    if not np.isfinite(energy).all():
+        raise ValueError("field holds non-finite values")
     return ShellSpectrum(
         lo_edges=edges[:-1][keep],
         hi_edges=edges[1:][keep],
-        energy=sums[keep] / counts[keep],
+        energy=energy,
         counts=counts[keep],
     )
 
@@ -202,19 +238,27 @@ def windowed_shells(u: Field) -> ShellSpectrum:
     """Shell spectrum of the windowed field, exactly as the estimator fits it.
 
     The window is the product of the real 1-D window over the axes; it is
-    formed and applied a block of rows at a time, never at full size.
+    formed and applied a block of rows at a time, never at full size, and
+    only on the box where it is nonzero.  Outside that box the windowed
+    field is +0, whose lines the transform skips, and values of ``u`` there
+    do not enter the spectrum.
     """
     g = u.grid
     w = _window_axis(g)
-    vals = np.empty(g.shape(), dtype=complex)
+    nonzero = np.flatnonzero(w)
+    support = (slice(nonzero[0], nonzero[-1] + 1),) * g.dim
+    w = w[support[0]]
+    vals = np.zeros(g.shape(), dtype=complex)
+    box_in, box_out = u.values[support], vals[support]
 
     def window_rows(rows):
         win = _along(w, 0, g.dim)[rows]
         for ax in range(1, g.dim):
             win = win * _along(w, ax, g.dim)
-        np.multiply(u.values[rows], win, out=vals[rows])
+        np.multiply(box_in[rows], win, out=box_out[rows])
 
-    _by_rows(window_rows, g.shape())
+    with np.errstate(invalid="ignore"):  # inf * (w + 0j) holds inf * 0; shell_spectrum reports it
+        _by_rows(window_rows, box_out.shape)
     return shell_spectrum(Field(g, vals))
 
 

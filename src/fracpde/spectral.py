@@ -40,6 +40,7 @@ symbol term is ``c * prod(lambda_i^alpha_i)``, a separable function is
 from __future__ import annotations
 
 import contextvars
+import itertools
 import json
 import math
 import os
@@ -350,13 +351,14 @@ def _phases(grid: BoxGrid, unit: complex) -> list[np.ndarray]:
     return [_along(phase, ax, grid.dim) for ax in range(grid.dim)]
 
 
-def _ifftn(values: np.ndarray) -> np.ndarray:
+def _ifftn(values: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.ifftn(values)`` bit for bit, without transforming lines of +0.
 
     A line whose words are all +0 transforms to +0, so it is left as the +0
     the output starts with; a line holding a -0, a NaN or any other value is
     transformed.  Only the first pass scans the data.  A 1-D array is one
-    line, transformed whatever it holds.
+    line, transformed whatever it holds.  With ``keep``, only the output
+    values whose every index is kept are computed; see :func:`_fft_lines`.
     """
     out = np.zeros(values.shape, dtype=complex)
     if values.ndim == 1:
@@ -370,10 +372,11 @@ def _ifftn(values: np.ndarray) -> np.ndarray:
         np.not_equal(words, 0, out=live[rows])
 
     _by_rows(scan, values.shape)
-    return _fft_lines(np.fft.ifft, values, out, live)
+    return _fft_lines(np.fft.ifft, values, out, live, keep)
 
 
-def _fft_lines(fft, src: np.ndarray, out: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+def _fft_lines(fft, src: np.ndarray, out: np.ndarray, live: np.ndarray | None = None,
+               keep: np.ndarray | None = None) -> np.ndarray:
     """``fft`` along every axis from ``src`` into ``out``: ``np.fft.ifftn``/``fftn`` bit for bit.
 
     The axes run last to first, as in ``ifftn`` and ``fftn``, and every line
@@ -382,29 +385,53 @@ def _fft_lines(fft, src: np.ndarray, out: np.ndarray, live: np.ndarray | None = 
     to transform, and ``out`` must hold +0 on the others; a later line is
     transformed when it crosses a line transformed before.  Without ``live``
     every line is, and ``out`` may be ``src``.
+
+    ``keep``, a mask over the indices of an axis (the same on every axis),
+    limits the later passes to the lines whose transformed indices are all
+    kept: those lines are selected by the runs of the mask, never gathered.
+    Then ``out`` is exact only where every index is kept, and holds partial
+    sums elsewhere.
     """
     if src.ndim == 1:
         return fft(src, out=out)
+    runs = [slice(0, src.shape[0])] if keep is None else _runs(keep)
     for ax in reversed(range(src.ndim)):
         if live is not None:
             live = np.any(live, axis=ax, keepdims=True)
-        _line_pass(fft, src, out, ax, live)
+        _line_pass(fft, src, out, ax, live, runs)
         src = out
     return out
 
 
-def _line_pass(fft, src: np.ndarray, out: np.ndarray, ax: int, live: np.ndarray | None) -> None:
-    """``fft`` along ``ax`` from ``src`` into ``out``, on the lines ``live`` marks (size 1 along ``ax``)."""
+def _runs(mask: np.ndarray) -> list[slice]:
+    """The maximal runs of True in a 1-D mask, as slices in index order."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [slice(lo, hi) for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist())]
+
+
+def _line_pass(fft, src: np.ndarray, out: np.ndarray, ax: int, live: np.ndarray | None,
+               runs: list[slice]) -> None:
+    """``fft`` along ``ax`` from ``src`` into ``out``, on the lines ``live`` marks (size 1 along ``ax``).
+
+    Along each axis after ``ax``, transformed already, only the ``runs`` are read.
+    """
     lines_in, lines_out = np.moveaxis(src, ax, -1), np.moveaxis(out, ax, -1)
     if live is not None:
         live = np.broadcast_to(np.moveaxis(live, ax, -1)[..., 0], lines_in.shape[:-1])
+    whole = slice(0, src.shape[0])
+    # Index tuples over the axes of lines_in but the last: whole spatial axes, runs of the transformed ones.
+    picks = list(itertools.product(*[[whole]] * ax, *[runs] * (src.ndim - 1 - ax)))
 
     def task(rows):
-        if live is None or live[rows].all():
-            fft(lines_in[rows], axis=-1, out=lines_out[rows])
-        elif live[rows].any():
-            pick = np.nonzero(live[rows])
-            lines_out[rows][pick] = fft(lines_in[rows][pick], axis=-1)
+        for first, *rest in picks:
+            pick = (slice(max(rows.start, first.start), min(rows.stop, first.stop)), *rest)
+            if pick[0].start >= pick[0].stop:
+                continue
+            if live is None or live[pick].all():
+                fft(lines_in[pick], axis=-1, out=lines_out[pick])
+            elif live[pick].any():
+                hit = np.nonzero(live[pick])
+                lines_out[pick][hit] = fft(lines_in[pick][hit], axis=-1)
 
     _by_rows(task, lines_in.shape)
 

@@ -25,7 +25,7 @@ from fracpde.fileio import atomic_write_bytes
 from fracpde.fracops import DifferintOrder, QuadratureConfig, differint, fourier_differint
 from fracpde.functions import SampledCurve, bump, gaussian, step
 from fracpde.sobolev import estimate_regularity
-from fracpde.spectral import BoxGrid, sample_field, solve_elliptic
+from fracpde.spectral import BoxGrid, Field, sample_field, sample_separable, save_field, solve_elliptic
 from fracpde.symbols import FracSymbol
 from fracpde.verify import CANONICAL_CHECK_IDS, VerifyConfig
 
@@ -383,6 +383,61 @@ class TestSolveAndSobolev:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+    # sha256 of the report bytes, taken while the shell spectrum still
+    # transformed and binned the whole grid.
+    @pytest.mark.parametrize("grid, op, digest", [
+        (["-n", "2", "-m", "2048", "-L", "40"],
+         '{"dim": 2, "terms": [{"c": [1.0, 0.0], "alpha": [1.5, 0.0]}, {"c": [1.3, 0.0], "alpha": [0.0, 1.5]}]}',
+         "62af0e16308632e6fc19d7f1dab8cb4e279c6c780456d5e2d55ad1e443d78c2a"),
+        (["-n", "3", "-m", "128", "-L", "20"],
+         '{"dim": 3, "terms": [{"c": [1.0, 0.0], "alpha": [1.4, 0.0, 0.0]}, {"c": [1.1, 0.0], "alpha": [0.0, 1.4, 0.0]},'
+         ' {"c": [0.9, 0.0], "alpha": [0.0, 0.0, 1.4]}]}',
+         "303bcd30add8188572d2e235658c5d15ac23bf88cb3eef7d50954745d74b91c8"),
+    ], ids=["solve-2d-m2048", "solve-3d-m128"])
+    def test_regularity_report_of_a_solve_field_is_pinned(self, runner, tmp_path, grid, op, digest):
+        solve = runner.invoke(main, [*grid, "--outdir", str(tmp_path), "solve", "--op", op,
+                                     "--forcing", '{"kind": "step", "a": -1.0, "b": 1.2}', "--output", "u.field"])
+        assert solve.exit_code == 0
+        result = runner.invoke(main, ["sobolev", "--field", str(tmp_path / "u.field"), "--min-radius", "4.0"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_field_is_a_computation_error(self, capsys, tmp_path, bad):
+        g = BoxGrid(2, 256, 40.0)
+        vals = sample_separable(g, step(-1.0, 1.0).value).values.copy()
+        vals[128, 128] = float(bad)
+        save_field(Field(g, vals), tmp_path / "u.field")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["sobolev", "--field", str(tmp_path / "u.field")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ValueError: field holds non-finite values\n"
+
+    @pytest.mark.parametrize("option", [["--s", "nan"], ["--s", "inf"], ["--s", "-inf"],
+                                        ["--min-radius", "nan"], ["--min-radius", "inf"], ["--min-radius", "-inf"]])
+    def test_non_finite_number_is_usage_error(self, capsys, monkeypatch, option):
+        import fracpde.cli as cli
+
+        for engine in ("sobolev_norm", "estimate_regularity"):
+            monkeypatch.setattr(cli, engine, lambda *args, **kwargs: pytest.fail("evaluated"))
+        assert run_cli(["-m", "256", "sobolev", "--func", "step", *option]) == 2
+        assert f"{option[0]} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("func, s", [("gaussian", "400"), ("step", "1e6")])
+    def test_overflowing_norm_is_a_computation_error(self, capsys, func, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["sobolev", "--func", func, "--s", s]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+
+    def test_large_finite_norm_keeps_its_digits(self, capsys):
+        assert run_cli(["sobolev", "--func", "step", "--s", "40"]) == 0
+        assert capsys.readouterr().out == "3.89752974664925e+98\n"
 
 
 class TestVerifyCommand:

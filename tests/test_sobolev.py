@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracpde import TooFewBands, UnreliableFitWarning, bump, gaussian, step
+from fracpde import NonConvergent, TooFewBands, UnreliableFitWarning, bump, gaussian, step
 from fracpde.sobolev import (
     _WINDOW_RADIUS_FRAC,
     RegularityEstimate,
@@ -18,7 +19,7 @@ from fracpde.sobolev import (
     windowed_shells,
 )
 import fracpde.sobolev as sobolev
-from fracpde.spectral import BoxGrid, Field, SpectralField, inverse, sample_field, sample_separable
+from fracpde.spectral import BoxGrid, Field, SpectralField, inverse, sample_field, sample_separable, transform
 
 GRID = BoxGrid(1, 4096, 40.0)
 
@@ -50,6 +51,34 @@ class TestNorm:
     def test_monotone_in_s(self, s, ds):
         u = SpectralField(BoxGrid(1, 64, 10.0), (1.0 + BoxGrid(1, 64, 10.0).frequencies() ** 2) ** -1.0)
         assert sobolev_norm(u, s) <= sobolev_norm(u, s + ds)
+
+    @pytest.mark.parametrize("s", [-0.7, 0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("grid", [BoxGrid(1, 4096, 40.0), BoxGrid(2, 1024, 40.0), BoxGrid(3, 64, 20.0)])
+    def test_blocked_terms_sum_to_the_whole_array_norm(self, grid, s):
+        u = sample_separable(grid, step(-1.3, 1.1).value)
+        spec = transform(u)
+        rho2 = grid.frequency_radii() ** 2
+        cell = (2.0 * math.pi / grid.length) ** grid.dim
+        want = math.sqrt(float(np.sum((1.0 + rho2) ** s * np.abs(spec.values) ** 2)) * cell)
+        assert sobolev_norm(u, s).hex() == want.hex()
+        assert sobolev_norm(spec, s).hex() == want.hex()
+
+    def test_peak_stays_within_one_and_three_quarter_fields(self):
+        # A 16 MiB field: its spectrum and one real grid of terms, not the whole-array temporaries.
+        g = BoxGrid(2, 1024, 40.0)
+        u = sample_separable(g, step(-1.3, 1.1).value)
+        tracemalloc.start()
+        try:
+            sobolev_norm(u, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * u.values.nbytes
+
+    @pytest.mark.parametrize("fn, s", [(gaussian(0, 1), 400.0), (step(-1.0, 1.0), 1e6)])
+    def test_overflowing_norm_raises(self, fn, s):
+        with pytest.raises(NonConvergent, match="not finite"):
+            sobolev_norm(sample_field(GRID, fn.value), s)
 
 
 class TestShells:
@@ -100,20 +129,63 @@ class TestShells:
         assert np.array_equal(got.counts, counts)
         assert got.energy.tobytes() == energy.tobytes()
 
+    @pytest.mark.filterwarnings("ignore::fracpde.EdgeLeakageWarning")
+    @pytest.mark.parametrize("m", [16, 64, 128])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_binning_equals_the_whole_grid_one(self, dim, m):
+        # Seeded complex values with negative parts, so the window leaves -0 beside its support.
+        g = BoxGrid(dim, m, 20.0)
+        rng = np.random.default_rng(100 * dim + m)
+        u = Field(g, rng.standard_normal(g.shape()) - 1j * rng.standard_normal(g.shape()))
+        windowed = Field(g, u.values * _old_window_values(g))
+        spectrum = SpectralField(g, np.fft.ifftn(u.values) * 3.0)
+        for got, want in [(lambda: windowed_shells(u), lambda: _whole_grid_shells(windowed)),
+                          (lambda: shell_spectrum(u), lambda: _whole_grid_shells(u)),
+                          (lambda: shell_spectrum(spectrum), lambda: _whole_grid_shells(spectrum))]:
+            lo_edges, counts, energy = want()
+            if counts.size < 4:
+                with pytest.raises(TooFewBands):
+                    got()
+                continue
+            shells = got()
+            assert np.array_equal(shells.lo_edges, lo_edges)
+            assert np.array_equal(shells.counts, counts)
+            assert shells.energy.tobytes() == energy.tobytes()
 
-def _whole_grid_shells(u: Field):
+    @pytest.mark.parametrize("grid", [BoxGrid(1, 4096, 40.0), BoxGrid(2, 256, 40.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_field_raises(self, grid, bad):
+        vals = sample_separable(grid, step(-1.0, 1.0).value).values.copy()
+        vals[(grid.m // 2,) * grid.dim] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_regularity(Field(grid, vals))
+        with pytest.raises(ValueError, match="non-finite"):
+            shell_spectrum(Field(grid, vals))
+
+    def test_values_outside_the_window_support_do_not_enter(self):
+        g = BoxGrid(2, 256, 40.0)
+        u = sample_separable(g, step(-1.0, 1.0).value)
+        vals = u.values.copy()
+        vals[3, 5] = np.nan  # the window is nonzero on indices 33..223 of each axis
+        assert estimate_regularity(Field(g, vals)) == estimate_regularity(u)
+
+
+def _whole_grid_shells(u):
     """Lower edges, counts and energies of the populated shells, binned over the whole grid at once."""
     g = u.grid
     lo, hi = 4.0 * (2.0 * math.pi / g.length), 0.75 * g.nyquist
     n_bands = max(int(round(sobolev._BANDS_PER_OCTAVE * math.log2(hi / lo))), 1)
     edges = np.geomspace(lo, hi, n_bands + 1)
-    spec = np.fft.ifftn(u.values)
+    if isinstance(u, SpectralField):
+        spec, scale = u.values, 1.0
+    else:
+        spec, scale = np.fft.ifftn(u.values), float(g.length**g.dim) ** 2
     rho = g.frequency_radii().ravel()
     which = np.digitize(rho, edges) - 1
     inside = (which >= 0) & (which < n_bands) & (rho < hi)
     counts = np.bincount(which[inside], minlength=n_bands)
     weights = np.abs(spec.ravel()[inside]) ** 2
-    sums = np.bincount(which[inside], weights=weights, minlength=n_bands) * float(g.length**g.dim) ** 2
+    sums = np.bincount(which[inside], weights=weights, minlength=n_bands) * scale
     keep = counts > 0
     return edges[:-1][keep], counts[keep], sums[keep] / counts[keep]
 

@@ -648,6 +648,44 @@ class TestWorkOnSupport:
             flipped = np.ascontiguousarray(vals.T).T
             assert np.array_equal(_bits(_ifftn(flipped)), _bits(np.fft.ifftn(flipped))), name
 
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 32), (3, 16), (2, 1024), (3, 128)])
+    def test_kept_box_matches_ifftn_bit_for_bit(self, dim, m):
+        # The indices below 3/8 of the sampling rate: two runs per axis in fft order.
+        keep = np.abs(np.fft.fftfreq(m)) < 0.375
+        box = np.ix_(*[np.flatnonzero(keep)] * dim)
+        for name, vals in _zero_slab_cases(dim, m):
+            want = np.fft.ifftn(vals)[box]
+            assert np.array_equal(_bits(_ifftn(vals, keep)[box]), _bits(want)), name
+
+    @pytest.mark.parametrize("dim,m", [(2, 256), (3, 64)])
+    def test_windowed_shells_transform_only_support_and_box_lines(self, dim, m, monkeypatch):
+        from fracpde import sobolev
+
+        g = BoxGrid(dim, m, 40.0)
+        rng = np.random.default_rng(dim * m)
+        u = Field(g, rng.standard_normal(g.shape()) - 1j * rng.standard_normal(g.shape()))
+        support = int(np.count_nonzero(sobolev._window_axis(g)))
+        kept = int(np.count_nonzero(np.abs(g.frequencies()) < 0.75 * g.nyquist))
+        passes, lines = [], {}
+        line_pass, ifft = spectral._line_pass, np.fft.ifft
+
+        def counted_pass(fft, src, out, ax, *rest):
+            passes.append(ax)
+            line_pass(fft, src, out, ax, *rest)
+
+        def counted(a, *args, **kwargs):
+            lines[passes[-1]] = lines.get(passes[-1], 0) + a.size // a.shape[-1]
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_line_pass", counted_pass)
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        sobolev.windowed_shells(u)
+        monkeypatch.undo()
+        # The last axis runs first, on the lines inside the window's support; each later
+        # pass crosses the support on the axes before it and the box on those after it.
+        assert passes == list(reversed(range(dim)))
+        assert lines == {ax: support**ax * kept ** (dim - 1 - ax) for ax in range(dim)}
+
     @pytest.mark.parametrize("m", [2**k for k in range(4, 17)])
     def test_a_line_of_plus_zeros_transforms_to_plus_zeros(self, m):
         # The fact that lets the pruned transform skip such lines.
