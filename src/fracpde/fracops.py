@@ -27,7 +27,13 @@ other:
     central finite differences of the integral.
     The (points x nodes) integrand matrices are built and reduced in row
     blocks of bounded size, in float64 when the order and the input are
-    real, so memory does not grow with the batch.
+    real, so memory does not grow with the batch.  From a base at -inf the
+    tail mesh is rigid in ``t = x - y``, so an input whose shift factors as
+    ``f(x - t) = f(x) * exp(-a*t)`` (the exponential, an eigenfunction
+    there, and its derivatives; the input names ``a`` as ``shift_rate``)
+    forms no matrix: every row is ``f(x_i)`` times the same
+    ``exp(-a*t_j)``, so one quadrature sum over the same mesh and weights,
+    scaled by the values at the points, gives every point.
 ``caputo_derivative``
     integral of order ``nu - n`` applied to the ``n``-th derivative.
 ``hankel_differintegral``
@@ -322,6 +328,33 @@ def _translated_rule(values_fn, x: np.ndarray, t: np.ndarray, w: np.ndarray, wha
     return out
 
 
+def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, span: float, config: QuadratureConfig,
+                   what: str) -> np.ndarray:
+    """The tail rule for an input with ``f(x - t) = f(x) * exp(-rate*t)``, as ``f(x) * (exp(-rate*t) @ w)``.
+
+    Each row of ``_translated_rule``'s node matrix is ``f(x_i)`` times the
+    same ``exp(-rate*t_j)``, so one quadrature sum over the same mesh and
+    weights serves every point, and the input is evaluated only at the
+    points and at the envelope probe.  A value beyond float64, at a point
+    or in the product, raises ``NonConvergent``.
+    """
+    too_high = f"{what} overflows float64 at the evaluation points"
+    try:
+        with np.errstate(over="ignore"):
+            fx = np.asarray(values_fn(x))
+    except OverflowError:  # a rate**n beyond float64
+        raise NonConvergent(too_high) from None
+    if np.any(np.isinf(fx)):
+        raise NonConvergent(too_high)
+    _check_finite(fx, what)
+    t, w = _tail_rule(values_fn, mu, x, span, config.subintervals, config.grading)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fx * (np.exp(-rate * t) @ w) * _rgamma(mu)
+    if not np.all(np.isfinite(out)):
+        raise NonConvergent(too_high)
+    return np.asarray(out, dtype=complex)
+
+
 def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: QuadratureConfig) -> np.ndarray:
     """Product integration over ``y`` in ``[lo, hi]`` for points ``x > hi``, away from the kernel singularity.
 
@@ -365,8 +398,10 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
         if n and fe.derivative_cap < n:
             return _stencil_path(fe, nu, n, c, x, span, config)
         values = (lambda z: fe.derivative_values(z, n)) if n else fe.value
-        t, w = _tail_rule(values, mu, x, span, config.subintervals, config.grading)
         what = f"derivative of order {n}" if n else "input"
+        if fe.shift_rate is not None:
+            return _factored_rule(values, fe.shift_rate, mu, x, span, config, what)
+        t, w = _tail_rule(values, mu, x, span, config.subintervals, config.grading)
         return _translated_rule(values, x, t, w, what) * _rgamma(mu)
 
     if c != MINUS_INF and np.any(x <= c if n else x < c):
@@ -571,6 +606,11 @@ class _DerivativeOf:
     def truncation_length(self, x):
         """The base's tail cut, nondecreasing in ``x`` as the base's is."""
         return self.base.truncation_length(x)
+
+    @property
+    def shift_rate(self):
+        """The base's: ``f^(n)(y - t) = f^(n)(y) * exp(-a*t)`` whenever ``f(y - t) = f(y) * exp(-a*t)``."""
+        return self.base.shift_rate
 
 
 def differint(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QUADRATURE):

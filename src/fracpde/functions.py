@@ -4,9 +4,9 @@ The quadrature, contour, and Fourier engines all consume the same small set
 of input shapes: a :class:`FunctionSpec` from the catalog, a
 :class:`SampledCurve` of uniform samples, or (mostly for composing checks) a
 bare callable wrapped in :class:`CallableFn`.  A FunctionSpec carries enough
-structure -- closed-form derivatives, support, left-tail truncation,
-analyticity -- for each engine to pick its exact code path and to bound its
-own truncation error instead of guessing.
+structure -- closed-form derivatives, support, left-tail truncation, the
+exponential's shift rate, analyticity -- for each engine to pick its exact
+code path and to bound its own truncation error instead of guessing.
 
 Catalog kinds and parameters:
 
@@ -213,6 +213,16 @@ class FunctionSpec:
         if self.kind == "bump":
             return (p["center"] - p["radius"], p["center"] + p["radius"])
         return None
+
+    @property
+    def shift_rate(self) -> float | None:
+        """Rate ``a`` with ``f(y - t) = f(y) * exp(-a*t)`` for every ``y`` and ``t``, or None.
+
+        Only the exponential has one.  From a base at -inf the engines then
+        integrate it as ``f(x)`` times one quadrature sum shared by every
+        point.
+        """
+        return self.params["a"] if self.kind == "exponential" else None
 
     def smooth_order_on(self, lo: float, hi: float) -> int:
         """Continuous-derivative count of the restriction to ``[lo, hi]``.
@@ -503,6 +513,10 @@ class CallableFn:
     @property
     def derivative_cap(self) -> int:
         return len(self.derivatives)
+
+    @property
+    def shift_rate(self) -> None:
+        return None
 
     def smooth_order_on(self, lo: float, hi: float) -> int:
         return _SMOOTH

@@ -205,6 +205,21 @@ class TestDifferint:
         assert captured.out == ""
         assert captured.err.startswith("NonConvergent: ") and "Warning" not in captured.err
 
+    @pytest.mark.parametrize("args", [
+        ["--nu", "-0.5", "--at", "709.5"],
+        ["--nu", "0.5", "--at", "800"],
+        ["--nu", "0.5", "--at", "800", "--method", "caputo"],
+    ], ids=["integral", "derivative", "caputo"])
+    def test_exponential_overflow_at_the_point_is_a_computation_error(self, capsys, args):
+        # e^(a x) or its sum beyond float64: exit 1, not warnings and inf+nanj or NotSmoothEnough.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", '{"kind": "exponential", "a": 1}', "--c", "-inf",
+                            *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+
     def test_fourier_high_finite_order_keeps_its_value(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -275,19 +275,30 @@ def test_bump_seen_from_above_matches_mpmath(nu):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-6
 
 
+class _Counting:
+    """An evaluable that counts the points it is evaluated at and the shapes it sees."""
+
+    def __init__(self, base):
+        self.base, self.points, self.ndims = base, 0, set()
+
+    def _seen(self, y):
+        self.points += np.size(y)
+        self.ndims.add(np.ndim(y))
+
+    def value(self, y):
+        self._seen(y)
+        return self.base.value(y)
+
+    def derivative_values(self, y, m):
+        self._seen(y)
+        return self.base.derivative_values(y, m)
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+
 def test_points_above_the_support_share_one_evaluation_of_the_input():
-    class Counting:
-        def __init__(self, base):
-            self.base, self.points = base, 0
-
-        def value(self, y):
-            self.points += np.size(y)
-            return self.base.value(y)
-
-        def __getattr__(self, name):
-            return getattr(self.base, name)
-
-    f = Counting(bump(0.1, 2.0))
+    f = _Counting(bump(0.1, 2.0))
     rl_derivative(f, DifferintOrder(0.55, MINUS_INF), np.linspace(2.2, 20.0, 200), FAST)
     assert 0 < f.points <= FAST.subintervals + 1
 
@@ -714,6 +725,103 @@ class TestMixedSupport:
         curve = SampledCurve(float(GRID_4096[0]), 40.0 / 4096, f.value(GRID_4096))
         want = fourier_differint(curve, nu, pad_factor=1024).values
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+FACTORED_ENGINES = {"integral": rl_integral, "derivative": rl_derivative, "caputo": caputo_derivative}
+
+
+def _node_matrix_sum(f, nu, x):
+    """The tail rule from -inf as the (points x nodes) sum, on ``_tail_rule``'s own mesh and weights.
+
+    A derivative and a Caputo derivative of order ``nu`` both integrate
+    ``f^(n)`` with the kernel order ``n - nu``.
+    """
+    n = 0 if nu.real < 0 else math.floor(nu.real) + 1
+    mu = fracops._real_if_real(n - nu)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    config = fracops.DEFAULT_QUADRATURE
+
+    def values(z):
+        return f.derivative_values(z, n)
+
+    t, w = fracops._tail_rule(values, mu, xs, f.truncation_length(float(np.max(xs))),
+                              config.subintervals, config.grading)
+    return (values(xs[:, None] - t) @ w) * fracops._rgamma(mu)
+
+
+class TestFactoredTail:
+    """An exponential from -inf is one quadrature sum times its values at the points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine=st.sampled_from(sorted(FACTORED_ENGINES)),
+           rate=st.floats(min_value=0.3, max_value=3.0),
+           re=st.floats(min_value=0.0, max_value=1.9).filter(lambda v: abs(v - round(v)) > 1e-3),
+           im=st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0)),
+           xs=st.one_of(st.floats(min_value=-5.0, max_value=5.0),
+                        st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=64)))
+    def test_equals_the_node_matrix_sum(self, engine, rate, re, im, xs):
+        nu = complex(-re if engine == "integral" else re, im)
+        f = exponential(rate)
+        got = FACTORED_ENGINES[engine](f, DifferintOrder(nu, MINUS_INF), xs)
+        assert np.shape(got) == np.shape(xs)
+        want = _node_matrix_sum(f, nu, xs)
+        assert np.all(np.abs(np.atleast_1d(got) - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("engine, nu", [("integral", -0.6), ("derivative", 1.3), ("caputo", 0.4)])
+    def test_evaluates_no_node_matrix(self, engine, nu, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("a (points x nodes) matrix was formed")
+
+        monkeypatch.setattr(fracops, "_translated_rule", no_matrix)
+        f = _Counting(exponential(1.3))
+        got = FACTORED_ENGINES[engine](f, DifferintOrder(nu, MINUS_INF), GRID_4096)
+        assert np.all(np.isfinite(got))
+        # One evaluation at the points, plus the envelope probe of the tail
+        # mesh: 8 batch quantiles x 8192 probe points, each a 1-D array.
+        assert f.ndims == {1}
+        assert f.points == GRID_4096.size + 8 * 8192
+
+    def test_other_inputs_keep_the_node_matrix(self, monkeypatch):
+        rows = []
+        translated = fracops._translated_rule
+
+        def counted(values_fn, x, t, w, what):
+            rows.append(x.size)
+            return translated(values_fn, x, t, w, what)
+
+        monkeypatch.setattr(fracops, "_translated_rule", counted)
+        rl_integral(gaussian(0.3, 1.2), DifferintOrder(-0.7, MINUS_INF), WIDE, FAST)
+        assert rows == [WIDE.size]
+
+    @pytest.mark.parametrize("engine, rate, nu, x", [
+        ("integral", 1.0, -0.5, 709.5),
+        ("derivative", 1.0, 0.5, 800.0),
+        ("caputo", 1.0, 0.5, 800.0),
+        ("derivative", 2.0, 1100.5, 0.0),  # rate**n beyond float64
+        ("integral", 1.0, -0.5, [0.0, 1.0, 709.5]),  # only the last point
+    ])
+    def test_overflow_at_a_point_is_nonconvergent(self, engine, rate, nu, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match="overflows float64"):
+                FACTORED_ENGINES[engine](exponential(rate), DifferintOrder(nu, MINUS_INF), x)
+
+    def test_largest_finite_value_is_kept(self):
+        order = DifferintOrder(-0.5, MINUS_INF)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rl_integral(exponential(1.0), order, 709.0)
+        assert got.real == pytest.approx(closed_form_oracle(exponential(1.0), order, 709.0).real, rel=1e-6)
+
+    def test_nan_from_the_input_is_not_smooth_enough(self):
+        class Holey(_Counting):
+            def value(self, y):
+                return np.where(np.asarray(y) > 1.0, np.nan, self.base.value(y))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSmoothEnough):
+                rl_integral(Holey(exponential(1.0)), DifferintOrder(-0.5, MINUS_INF), [0.0, 2.0])
 
 
 class TestCaches:
