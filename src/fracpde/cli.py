@@ -31,6 +31,7 @@ from .fracops import (
     differint,
     fourier_differint,
     hankel_differintegral,
+    _on_lattice,
 )
 from .functions import FunctionSpec, SampledCurve, catalog_lookup
 from .sobolev import estimate_regularity, sobolev_norm
@@ -73,6 +74,17 @@ class RunConfig:
 _DEFAULTS = RunConfig()
 
 
+def _echo(text: str, stream=None) -> None:
+    """``click.echo`` to ``stream``, by default the ``sys.stdout`` of the moment.
+
+    Without an explicit file click looks the stream up in a cache keyed
+    weakly by it whose value is the stream itself, so every stream a caller
+    swaps in (``contextlib.redirect_stdout`` around ``run_cli``) stays alive
+    with all its output.
+    """
+    click.echo(text, file=sys.stdout if stream is None else stream)
+
+
 def _computation(fn):
     """Map library errors to exit code 1 with the class name on stderr."""
 
@@ -81,7 +93,7 @@ def _computation(fn):
         try:
             return fn(*args, **kwargs)
         except (FracpdeError, ValueError) as exc:
-            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            _echo(f"{type(exc).__name__}: {exc}", sys.stderr)
             sys.exit(1)
 
     return wrapper
@@ -208,10 +220,9 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
                                    f"{'below' if strict else 'at or below'} it")
     xs = np.array([at_x]) if at_x is not None else axis
 
-    if method == "quadrature":
-        vals = differint(f, order, xs, config=quad)
-    elif method == "caputo":
-        vals = caputo_derivative(f, order, xs, config=quad)
+    if method in ("quadrature", "caputo"):
+        engine = differint if method == "quadrature" else caputo_derivative
+        vals = engine(f, order, xs, config=quad) if at_x is not None else _on_lattice(engine, f, order, xs, quad)
     elif method == "hankel":
         if at_x is None:
             raise click.UsageError("--method hankel evaluates single points; pass --at")
@@ -226,11 +237,11 @@ def differint_command(cfg: RunConfig, func, nu, base, method, at_x, on_grid):
         vals = out.value(xs) if at_x is not None else out.values
 
     if at_x is not None:
-        click.echo(_format_scalar(vals[0]))
+        _echo(_format_scalar(vals[0]))
     else:
         vals = np.asarray(vals, dtype=complex)
         rows = map(_CSV_ROW.__mod__, zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist()))
-        click.echo("\n".join(["x,re,im", *rows]))
+        _echo("\n".join(["x,re,im", *rows]))
 
 
 @main.command("symbol")
@@ -262,7 +273,7 @@ def symbol_command(cfg: RunConfig, op):
                              "upper": est.upper, "scan_max": est.scan_max}
         except NoRFound as exc:
             doc["bounds_error"] = f"NoRFound: {exc}"
-    click.echo(json.dumps(doc, indent=2))
+    _echo(json.dumps(doc, indent=2))
 
 
 @main.command("solve")
@@ -286,7 +297,7 @@ def solve_command(cfg: RunConfig, op, forcing, output):
     save_field(res.u, path)
 
     f_hat_sup, residual_sup, confined = res.confinement()
-    click.echo(json.dumps({
+    _echo(json.dumps({
         "field_file": str(path),
         "cutoff_radius": res.parametrix.radius,
         "f_hat_sup": f_hat_sup,
@@ -319,10 +330,10 @@ def sobolev_command(cfg: RunConfig, field_file, func, s_order, min_radius):
     u = load_field(field_file) if field_file is not None else sample_separable(
         cfg.box(), _parse_func(func).value)
     if s_order is not None:
-        click.echo(_format_scalar(sobolev_norm(u, s_order)))
+        _echo(_format_scalar(sobolev_norm(u, s_order)))
         return
     est = estimate_regularity(u, min_radius=min_radius)
-    click.echo(est.to_json())
+    _echo(est.to_json())
 
 
 @main.command("verify")
@@ -342,8 +353,8 @@ def verify_command(cfg: RunConfig, only, report):
     write_identity_report(results, path)
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        click.echo(f"{r.check_id}: {status} (max_error={r.max_error:.6e}, tolerance={r.tolerance:g})")
-    click.echo(f"report: {path}")
+        _echo(f"{r.check_id}: {status} (max_error={r.max_error:.6e}, tolerance={r.tolerance:g})")
+    _echo(f"report: {path}")
     if not all(r.passed for r in results):
         sys.exit(1)
 
@@ -391,11 +402,11 @@ def experiment_regularity(cfg: RunConfig, matrix, csv_name):
         atomic_write_text(outdir / name, "\n".join(lines) + "\n")
         status = "pass" if row.within_tolerance else "FAIL"
         gain = "capped" if row.capped else f"{row.gain:+.4f} (expected {row.expected_gain:+.4f})"
-        click.echo(f"{row.operator_id} on {row.forcing_id}: {status}, gain {gain} [{name}]")
+        _echo(f"{row.operator_id} on {row.forcing_id}: {status}, gain {gain} [{name}]")
 
-    click.echo(f"table: {table}")
+    _echo(f"table: {table}")
     scored = [r for r in rows if r.reliable]
     rate = sum(r.within_tolerance for r in scored) / len(scored) if scored else 0.0
-    click.echo(f"pass rate over reliable rows: {rate:.0%}")
+    _echo(f"pass rate over reliable rows: {rate:.0%}")
     if rate < 0.9:
         sys.exit(1)

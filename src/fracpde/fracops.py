@@ -46,6 +46,18 @@ other:
     its central ``2m - 1`` lags are convolved with the ``m`` samples by a
     short FFT.
 
+A uniform grid from a base at -inf (``differint --grid`` with the quadrature
+or Caputo method) takes a private lattice rule where it applies: there both
+compute ``I^mu f^(n)``, and the product-integration weights on a uniform
+mesh are Toeplitz, so ``f^(n)`` is sampled once on a lattice of spacing
+``dx/r`` from the input's cut to one step above the grid and the curve is
+one FFT convolution, plus the regular ``h^2`` and the branch point's
+``h^(mu+2)`` Euler-Maclaurin terms.  ``r`` is the smallest integer that
+makes the lattice no coarser than the graded mesh on average, so
+``subintervals`` sets its resolution.  Exponentials, steps, sampled curves,
+complex orders, finite bases, single points and library calls keep the
+paths above.
+
 ``closed_form_oracle`` supplies the exact power/exponential values the
 engines are tested against.
 """
@@ -87,6 +99,7 @@ __all__ = [
 ]
 
 MINUS_INF = float("-inf")
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # A sample mean below this fraction of the largest padded coefficient
 # counts as zero for the multiplier of a nonpositive order.
@@ -339,11 +352,8 @@ def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, span: float, confi
     or in the product, raises ``NonConvergent``.
     """
     too_high = f"{what} overflows float64 at the evaluation points"
-    try:
-        with np.errstate(over="ignore"):
-            fx = np.asarray(values_fn(x))
-    except OverflowError:  # a rate**n beyond float64
-        raise NonConvergent(too_high) from None
+    with np.errstate(over="ignore"):
+        fx = np.asarray(values_fn(x))
     if np.any(np.isinf(fx)):
         raise NonConvergent(too_high)
     _check_finite(fx, what)
@@ -395,6 +405,9 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
         # Tail mesh is rigid in t = x - y, so the formula translates with x
         # and the outer derivative lands directly on the integrand.
         span = _tail_span(fe, x)
+        if span > 1.0 and (mu.real + 1.0) * math.log(span) - math.log(abs(mu)) >= _LOG_FLOAT_MAX:
+            # The kernel moments over the tail, up to span^(mu+1)/mu, overflow.
+            raise NonConvergent("tail integral overflows float64: the points lie too far above the input's cut")
         if n and fe.derivative_cap < n:
             return _stencil_path(fe, nu, n, c, x, span, config)
         values = (lambda z: fe.derivative_values(z, n)) if n else fe.value
@@ -618,6 +631,137 @@ def differint(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QU
     if complex(order.nu).real < 0:
         return rl_integral(f, order, x, config)
     return rl_derivative(f, order, x, config)
+
+
+# -- lattice rule ----------------------------------------------------------------
+
+#: A lattice takes at most this many times ``max(grid points, subintervals)``
+#: points; an input whose cut lies further below the grid takes the graded path.
+_LATTICE_CAP = 64
+
+# B_2j / (2j)! for j = 1..5, the Euler-Maclaurin coefficients of the zeta tail.
+_BERNOULLI_OVER_FACTORIAL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
+
+
+def _zeta_reflected(mu: float) -> float:
+    """``zeta(-1 - mu)`` for real ``mu > 0``, by reflection from ``zeta(2 + mu)``.
+
+    ``zeta(2 + mu)`` is a 16-term sum plus its Euler-Maclaurin tail, and
+    ``zeta(-1-mu) = -2^(-1-mu) pi^(-2-mu) cos(pi mu / 2) Gamma(2+mu) zeta(2+mu)``.
+    """
+    s, k = 2.0 + mu, 16
+    total = sum(j**-s for j in range(1, k)) + k ** (1.0 - s) / (s - 1.0) + 0.5 * k**-s
+    rising, power = s, k ** (-s - 1.0)  # s (s+1) ... (s+2j-2) and k^(-s-2j+1)
+    for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        total += coef * rising * power
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= k * k
+    return -(2.0 ** (-1.0 - mu)) * math.pi ** (-2.0 - mu) * math.cos(0.5 * math.pi * mu) * math.gamma(s) * total
+
+
+def _lattice_weights(mu: float, size: int) -> np.ndarray:
+    """``omega_d``, ``d = 0..size-1``: ``int t^(mu-1) hat_d(t) dt`` on the unit lattice.
+
+    ``omega_d = ((d+1)^(mu+1) - 2 d^(mu+1) + (d-1)^(mu+1)) / (mu (mu+1))``
+    and ``omega_0 = 1/(mu (mu+1))``; the second difference is formed as
+    ``d^(mu+1) * (expm1((mu+1) log1p(1/d)) + expm1((mu+1) log1p(-1/d)))`` so
+    it does not cancel at large ``d``.
+    """
+    p = mu + 1.0
+    w = np.empty(size)
+    w[0], w[1] = 1.0, 2.0**p - 2.0
+    d = np.arange(2.0, size)
+    w[2:] = np.exp(p * np.log(d)) * (np.expm1(p * np.log1p(1.0 / d)) + np.expm1(p * np.log1p(-1.0 / d)))
+    return w / (mu * p)
+
+
+def _lattice_values(fe, nu: complex, x: np.ndarray, config: QuadratureConfig) -> np.ndarray | None:
+    """``I^mu f^(n)`` from a base at -inf on the uniform increasing ``x``, or None where the rule does not apply.
+
+    From -inf the derivative of order ``nu`` and the Caputo derivative are
+    both ``I^mu f^(n)`` with ``mu = n - nu``.  With ``F = f^(n)`` sampled on
+    a lattice of spacing ``h = dx/r`` that runs from the input's cut up to
+    one step above the last point, the graded path's scheme (product
+    integration of the piecewise-linear interpolant against the exact
+    kernel moments) has Toeplitz weights ``h^mu omega_d``, so every point is
+    one causal convolution.  Two Euler-Maclaurin terms correct it (Navot,
+    J. Math. Phys. 40, 1961): the regular ``h^2`` term, by convolving
+    ``F - Delta^2 F / 12``, and the ``h^(mu+2)`` term of the kernel's branch
+    point, ``-zeta(-1-mu)/(mu (mu+1)) * Delta^2 F`` at the point itself.
+
+    The refinement ``r`` is the smallest integer with ``h`` at most the mean
+    spacing of the graded path's mesh, so ``subintervals`` sets the
+    resolution here too.  The rule applies to a real order and an input
+    that is not an exponential (those take ``_factored_rule``: the FFT's
+    error is relative to the largest sample), has a closed-form ``f^(n)``,
+    a support or a cut, ``n + 2`` continuous derivatives over the lattice
+    and finite values; a lattice over ``_LATTICE_CAP`` times the grid or
+    the mesh is declined too.
+    """
+    if nu.imag:
+        return None
+    nu = nu.real
+    n = math.floor(nu) + 1 if nu >= 0 else 0
+    mu = n - nu
+    if fe.derivative_cap < n:
+        return None
+    x0, top = float(x[0]), float(x[-1])
+    support = fe.support
+    if support is None:
+        if fe.shift_rate is not None:
+            return None
+        try:
+            span = _tail_span(fe, x)  # the batch's tail, as the graded path takes it
+        except NonConvergent:  # no cut: the graded path reports it
+            return None
+        cut = x0 - span
+    else:
+        cut = support[0]
+        span = min(top, support[1]) - cut
+    if not span > 0:
+        return None
+    dx = (top - x0) / (x.size - 1)
+    r = max(1, math.ceil(dx * config.subintervals / span))
+    h = dx / r
+    first, last = math.floor((cut - x0) / h), (x.size - 1) * r  # lattice indices, in steps h from x0
+    size = last - first + 1
+    if size > _LATTICE_CAP * max(x.size, config.subintervals):
+        return None
+    y = x0 + h * np.arange(first - 1, last + 2)
+    if fe.smooth_order_on(float(y[0]), float(y[-1])) < n + 2:
+        return None
+    out = np.zeros(x.size)
+    with np.errstate(all="ignore"):  # a sample or a sum beyond float64 declines below
+        fv = np.asarray(fe.derivative_values(y, n) if n else fe.value(y))
+        if np.iscomplexobj(fv):
+            return None
+        d2 = fv[2:] - 2.0 * fv[1:-1] + fv[:-2]
+        nfft = 1 << (2 * size - 2).bit_length()  # no wrap into the first size outputs
+        conv = np.fft.irfft(np.fft.rfft(fv[1:-1] - d2 / 12.0, nfft) * np.fft.rfft(_lattice_weights(mu, size), nfft),
+                            nfft)[:size]
+        conv -= _zeta_reflected(mu) / (mu * (mu + 1.0)) * d2
+        k0 = max(0, -(-first // r))  # the first point at or above the lattice start
+        out[k0:] = conv[k0 * r - first :: r] * (h**mu * _rgamma(mu))
+    if not np.all(np.isfinite(out)):
+        return None
+    if support is not None:
+        out[x <= cut] = 0.0  # the input vanishes on (-inf, x]
+    return out.astype(complex)
+
+
+def _on_lattice(engine, f, order: DifferintOrder, x: np.ndarray, config: QuadratureConfig) -> np.ndarray:
+    """``engine(f, order, x, config)`` on an increasing uniform ``x``, for ``differint`` or ``caputo_derivative``.
+
+    From a base at -inf both engines compute ``I^mu f^(n)``, which
+    ``_lattice_values`` gives as one convolution where it applies; anywhere
+    else, and for a Caputo order below 0, ``engine`` runs.
+    """
+    nu = complex(order.nu)
+    if order.lower_infinite and (engine is differint or nu.real >= 0):
+        vals = _lattice_values(as_evaluable(f), nu, x, config)
+        if vals is not None:
+            return vals
+    return engine(f, order, x, config)
 
 
 # -- Cauchy loop ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotSmoothEnough, UnknownCatalogEntry
+from .errors import NonConvergent, NotSmoothEnough, UnknownCatalogEntry
 
 __all__ = [
     "FunctionSpec",
@@ -179,7 +179,11 @@ class FunctionSpec:
             with np.errstate(invalid="ignore"):
                 return coef * _power_value(y, pw - m)
         if k == "exponential":
-            return p["a"] ** m * np.exp(p["a"] * y)
+            try:
+                scale = p["a"] ** m
+            except OverflowError:
+                raise NonConvergent(f"derivative of order {m} overflows float64") from None
+            return scale * np.exp(p["a"] * y)
         if k == "gaussian":
             return _gaussian_derivative(y, p["center"], p["width"], m)
         if k == "polynomial":
@@ -328,6 +332,9 @@ def _power_value(y, p):
     return out[0] if scalar else out
 
 
+# Far out, or at a high order, He_m overflows and meets a zero f: the value
+# is not finite, and the engines that evaluate it report that.
+@np.errstate(over="ignore", invalid="ignore")
 def _gaussian_derivative(y, center, width, m):
     # f^(m) = (-1/w)^m He_m(z) f with probabilists' Hermite, z = (y-c)/w.  The
     # recurrence and the exponential run in place: block-sized temporaries

@@ -4,7 +4,10 @@ Operator and function inputs are literal JSON strings on purpose: the
 accepted wire schema is part of the contract, so drift breaks here.
 """
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,17 +16,19 @@ import stat
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import fracpde
 from fracpde.cli import main, run_cli
 from fracpde.fileio import atomic_write_bytes
-from fracpde.fracops import DifferintOrder, QuadratureConfig, differint, fourier_differint
-from fracpde.functions import SampledCurve, bump, gaussian, step
+from fracpde.fracops import DifferintOrder, QuadratureConfig, caputo_derivative, differint, fourier_differint
+from fracpde.functions import FunctionSpec, SampledCurve, bump, gaussian, step
 from fracpde.sobolev import estimate_regularity
 from fracpde.spectral import BoxGrid, Field, sample_field, sample_separable, save_field, solve_elliptic
 from fracpde.symbols import FracSymbol
@@ -219,6 +224,84 @@ class TestDifferint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["quadrature", "caputo"])
+    def test_exponential_derivative_beyond_float64_from_a_finite_base_is_a_computation_error(self, capsys,
+                                                                                            method):
+        # a**n beyond float64 in the input's own derivative: one NonConvergent line, no traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", '{"kind": "exponential", "a": 2}', "--nu", "1100.5",
+                            "--c", "0", "--at", "1", "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("nu, at", [("0.5", "1e308"), ("-0.5", "1e308"), ("0.5", "1e300")])
+    def test_far_point_beyond_the_tail_moments_is_a_computation_error(self, capsys, nu, at):
+        # The kernel moments over a tail of 1e300 overflow: exit 1, not warnings and nan+nanj.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--c", "-inf", "--nu", nu, "--at", at]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["quadrature", "caputo"])
+    def test_grid_order_beyond_the_inputs_derivatives_keeps_its_error(self, capsys, method):
+        # f^(201) of a gaussian is not finite far out: the graded path's NotSmoothEnough, quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--nu", "200.5", "--c", "-inf",
+                            "--method", method, "--grid"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NotSmoothEnough: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("method, nu", [("quadrature", "-0.7"), ("quadrature", "1.3"), ("caputo", "0.4")])
+    def test_grid_rows_agree_with_single_points(self, capsys, method, nu):
+        # --grid takes the lattice rule, --at the graded path: within 5e-5 of the peak for width >= 1.
+        func = '{"kind": "gaussian", "center": 0.3, "width": 1.1}'
+        base = ["differint", "--func", func, "--nu", nu, "--c", "-inf", "--method", method]
+        assert run_cli([*base, "--grid"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        grid = np.array([[float(x), float(re)] for x, re, _ in rows])
+        peak = np.max(np.abs(grid[:, 1]))
+        for k in (1800, 2048, 2100, 2300):
+            assert run_cli([*base, "--at", repr(float(grid[k, 0]))]) == 0
+            assert abs(float(capsys.readouterr().out) - grid[k, 1]) <= 5e-5 * peak
+
+    @pytest.mark.parametrize("func, nu, base, method", [
+        ('{"kind": "exponential", "a": 1.3}', "0.6", "-inf", "quadrature"),
+        ('{"kind": "exponential", "a": 0.8}', "1.2", "-inf", "caputo"),
+        ('{"kind": "step", "a": -1, "b": 1}', "-0.5", "-inf", "quadrature"),
+        ("gaussian", "0.5", "-30", "quadrature"),
+        ("gaussian", "0.5", "-30", "caputo"),
+    ], ids=["exp", "exp-caputo", "step", "finite-base", "finite-base-caputo"])
+    def test_grids_off_the_lattice_are_the_engines_rows(self, capsys, func, nu, base, method):
+        argv = ["-m", "256", "-N", "256", "differint", "--func", func, "--nu", nu, "--c", base,
+                "--method", method, "--grid"]
+        assert run_cli(argv) == 0
+        xs = BoxGrid(1, 256, 40.0).axis()
+        engine = differint if method == "quadrature" else caputo_derivative
+        f = FunctionSpec.from_json(func) if func.startswith("{") else gaussian(0.0, 1.0)
+        vals = engine(f, DifferintOrder(float(nu), float(base)), xs, QuadratureConfig(256))
+        want = "x,re,im\n" + "".join(f"{x:.12g},{v.real:.12g},{v.imag:.12g}\n" for x, v in zip(xs, vals))
+        assert capsys.readouterr().out == want
+
+    def test_run_cli_keeps_no_captured_stream_alive(self):
+        # click.echo without a file caches every stream it sees, and the stream with it.
+        alive = []
+        for k in range(50):
+            out, err = io.StringIO(), io.StringIO()
+            ok = k % 2 == 1  # every other command fails, so stderr is written too
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                argv = ["differint", "--func", "power" if ok else "nosuch", "--nu", "0.5", "--at", "1"]
+                assert run_cli(argv) == (0 if ok else 1)
+            alive += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
 
     def test_fourier_high_finite_order_keeps_its_value(self, capsys):
         with warnings.catch_warnings():

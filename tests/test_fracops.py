@@ -892,3 +892,170 @@ def test_quadrature_dispatch_bits_are_pinned(name):
                     except FracpdeError as exc:
                         digest.update(f"{type(exc).__name__}: {exc}".encode())
     assert digest.hexdigest() == PIN_DIGESTS[name]
+
+
+# -- the lattice rule of differint --grid from -inf --------------------------------
+
+
+def _mp_lattice_reference(kind: str, center: float, scale: float, nu: float, x: float) -> float:
+    """``I^mu f^(n)`` at ``x`` from -inf by mpmath, ``f^(n)`` by mpmath's own differentiation.
+
+    The substitution ``s = t^mu`` removes the kernel's endpoint singularity:
+    ``int_0^T t^(mu-1) F(x - t) dt = (1/mu) int_0^(T^mu) F(x - s^(1/mu)) ds``.
+    The integral starts at the support start for a bump and 12 widths below
+    the centre for a gaussian.
+    """
+    n = math.floor(nu) + 1 if nu >= 0 else 0
+    with mpmath.workdps(20):
+        mu, c, w = mpmath.mpf(n) - mpmath.mpf(nu), mpmath.mpf(center), mpmath.mpf(scale)
+        if kind == "gaussian":
+            def f(y):
+                return mpmath.exp(-((y - c) / w) ** 2 / 2)
+            lo, edges = c - 12 * w, [c - 3 * w, c, c + 3 * w]
+        else:
+            def f(y):
+                r2 = ((y - c) / w) ** 2
+                return mpmath.exp(1 - 1 / (1 - r2)) if r2 < 1 else mpmath.mpf(0)
+            lo, edges = c - w, [c, c + w]
+        x = mpmath.mpf(x)
+        if x <= lo:
+            return 0.0
+        ts = sorted({x - e for e in edges if lo < e < x} | {x - lo})  # t at the input's break points
+        big_f = (lambda y: mpmath.diff(f, y, n)) if n else f
+        total = mpmath.quad(lambda s: big_f(x - s ** (1 / mu)), [0] + [t**mu for t in ts])
+        return float(total / mu * mpmath.rgamma(mu))
+
+
+LATTICE_NU = st.floats(min_value=-1.9, max_value=1.9).filter(lambda v: abs(v - round(v)) >= 0.02)
+
+
+class TestLatticeRule:
+    """``differint --grid`` from -inf as one corrected convolution on the output lattice."""
+
+    def _curve(self, f, nu, method=differint, x=GRID_4096, config=fracops.DEFAULT_QUADRATURE):
+        return fracops._on_lattice(method, f, DifferintOrder(nu, MINUS_INF), x, config)
+
+    # The corrected rule leaves an h^4 F'''' term: about (dx/width)^4, 1.1e-6
+    # at the narrowest width here (0.3, dx = 40/4096), well below this bound.
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "bump"]), center=st.floats(min_value=-1.0, max_value=1.0),
+           u=st.floats(min_value=0.0, max_value=1.0), nu=LATTICE_NU,
+           probe=st.integers(min_value=-60, max_value=60))
+    def test_matches_mpmath(self, kind, center, u, nu, probe):
+        scale = 0.3 + 1.7 * u if kind == "gaussian" else 1.0 + 1.5 * u
+        f = gaussian(center, scale) if kind == "gaussian" else bump(center, scale)
+        got = fracops._lattice_values(f, complex(nu), GRID_4096, fracops.DEFAULT_QUADRATURE)
+        assert got is not None
+        peak = np.max(np.abs(got))
+        k = int(np.argmin(np.abs(GRID_4096 - center))) + probe * int(scale * 4096 / 40.0 / 20)
+        want = _mp_lattice_reference(kind, center, scale, nu, float(GRID_4096[k]))
+        assert abs(got[k] - want) <= 1e-6 * peak
+
+    @pytest.mark.parametrize("method, nu", [
+        (differint, -1.3), (differint, -0.55), (differint, 0.25), (differint, 0.85), (differint, 1.5),
+        (caputo_derivative, 0.25), (caputo_derivative, 0.85), (caputo_derivative, 1.5),
+    ], ids=["quadrature", "quadrature", "quadrature", "quadrature", "quadrature", "caputo", "caputo", "caputo"])
+    def test_agrees_with_the_graded_path(self, method, nu):
+        f = gaussian(0.4, 1.0)
+        got = self._curve(f, nu, method)
+        graded = method(f, DifferintOrder(nu, MINUS_INF), GRID_4096[::64])
+        assert np.max(np.abs(got[::64] - graded)) <= 5e-5 * np.max(np.abs(got))
+
+    def test_subintervals_set_the_refinement(self):
+        # -m 64 -L 20: dx = 0.3125 against a mesh spacing of 19/2048, so r = 34.
+        x = -10.0 + 0.3125 * np.arange(64)
+        f = gaussian(0.0, 1.0)
+        fine = self._curve(f, 0.5, x=x)
+        coarse = self._curve(f, 0.5, x=x, config=QuadratureConfig(subintervals=61))  # r = 1
+        want = np.array([_mp_lattice_reference("gaussian", 0.0, 1.0, 0.5, float(x[k])) for k in (28, 32, 36)])
+        peak = np.max(np.abs(fine))
+        assert np.max(np.abs(fine[[28, 32, 36]] - want)) <= 1e-8 * peak
+        assert np.max(np.abs(coarse[[28, 32, 36]] - want)) >= 1e-5 * peak
+
+    @pytest.mark.parametrize("f, nu", [(gaussian(0.3, 1.2), 0.7), (bump(0.2, 2.1), -0.5)], ids=["gaussian", "bump"])
+    def test_evaluates_each_lattice_point_once_and_no_matrix(self, f, nu, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("the graded path ran")
+
+        for name in ("_tail_rule", "_translated_rule", "_shifted_rule", "_derivative_moment_path"):
+            monkeypatch.setattr(fracops, name, no_matrix)
+        counted = _Counting(f)
+        got = self._curve(counted, nu)
+        assert np.all(np.isfinite(got))
+        assert counted.ndims == {1}
+        # The lattice runs from the cut (one step below) to one step above the last point.
+        x0, top, dx = GRID_4096[0], GRID_4096[-1], 40.0 / 4096
+        if f.support is None:
+            cut, span = x0 - f.truncation_length(top), f.truncation_length(top)
+        else:
+            cut, span = f.support[0], f.support[1] - f.support[0]
+        h = dx / math.ceil(dx * fracops.DEFAULT_QUADRATURE.subintervals / span)
+        assert counted.points <= (top - cut) / h + 4
+
+    def test_points_below_a_support_are_exactly_zero(self):
+        got = self._curve(bump(0.2, 2.1), 0.4)
+        assert np.all(got[GRID_4096 <= 0.2 - 2.1] == 0)
+        assert np.all(got[GRID_4096 > -1.8] != 0)
+
+    def test_a_far_cut_takes_the_graded_path_within_its_memory(self):
+        f = gaussian(-1e6, 1.0)
+        assert fracops._lattice_values(f, 0.5 + 0j, GRID_4096, fracops.DEFAULT_QUADRATURE) is None
+        tracemalloc.start()
+        try:
+            got = self._curve(f, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(got))
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("f, nu, c", [
+        (exponential(1.3), 0.5, MINUS_INF),
+        (exponential(0.8), -1.2, MINUS_INF),
+        (step(-1.0, 1.0), -0.5, MINUS_INF),
+        (step(-1.0, 30.0), -0.5, MINUS_INF),  # the jump at the cut
+        (SampledCurve(-3.0, 0.25, np.exp(-np.linspace(-3.0, 3.0, 25) ** 2)), -0.5, MINUS_INF),
+        (gaussian(0.3, 1.2), 0.5 + 0.2j, MINUS_INF),
+        (gaussian(0.3, 1.2), 0.5, -30.0),
+        (bump(0.0, 1.0), 0.5, -30.0),
+        (CallableFn(lambda y: np.exp(-y * y), truncation=8.0), 0.5, MINUS_INF),  # no derivative: the stencil
+    ], ids=["exp", "exp-integral", "step", "step-wide", "sampled", "complex", "finite-gaussian",
+            "finite-bump", "callable-stencil"])
+    def test_other_inputs_keep_their_path(self, f, nu, c):
+        order = DifferintOrder(nu, c)
+        config = QuadratureConfig(subintervals=256)
+        got = fracops._on_lattice(differint, f, order, GRID_4096[::16], config)
+        assert np.array_equal(got, differint(f, order, GRID_4096[::16], config))
+
+    def test_callable_with_a_truncation_takes_it(self):
+        f = CallableFn(lambda y: np.exp(-0.5 * y * y), derivatives=(lambda y: -y * np.exp(-0.5 * y * y),),
+                       truncation=29.0)
+        got = self._curve(f, 0.6)
+        want = self._curve(gaussian(0.0, 1.0), 0.6)
+        # The unit gaussian's own cut is 29 below the last point too: the same lattice.
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_caputo_below_zero_is_still_the_wrong_sign(self):
+        with pytest.raises(WrongSign):
+            self._curve(gaussian(), -0.5, caputo_derivative)
+
+    def test_callable_without_a_cut_is_still_nonconvergent(self):
+        with pytest.raises(NonConvergent):
+            self._curve(CallableFn(lambda y: np.exp(-y * y)), -0.5)
+
+    @pytest.mark.parametrize("mu", [0.01, 0.15, 0.5, 1.0, 1.3, 1.99])
+    def test_reflected_zeta(self, mu):
+        assert fracops._zeta_reflected(mu) == pytest.approx(float(mpmath.zeta(-1 - mu)), rel=1e-13, abs=1e-16)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.5])
+    def test_weights_keep_their_digits_at_large_lags(self, mu):
+        w = fracops._lattice_weights(mu, 200001)
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mu)
+            for d in (0, 1, 2, 7, 1000, 200000):
+                p = m + 1
+                want = (mpmath.mpf(d + 1) ** p - 2 * mpmath.mpf(d) ** p + (mpmath.mpf(d - 1) ** p if d else 0)) / (m * p)
+                if d == 0:
+                    want = 1 / (m * p)
+                # The expm1 form loses about d digits' worth of eps, not d^2.
+                assert abs(w[d] - want) <= 1e-15 * max(d, 1) / mu * abs(want)
