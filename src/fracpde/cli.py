@@ -86,13 +86,15 @@ def _echo(text: str, stream=None) -> None:
 
 
 def _computation(fn):
-    """Map library errors to exit code 1 with the class name on stderr."""
+    """Map library errors, and a file that cannot be read or written, to exit code 1 with the class name on stderr."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (FracpdeError, ValueError) as exc:
+        except BrokenPipeError:
+            raise  # a closed stdout: click's own handler exits quietly
+        except (FracpdeError, ValueError, OSError) as exc:
             _echo(f"{type(exc).__name__}: {exc}", sys.stderr)
             sys.exit(1)
 

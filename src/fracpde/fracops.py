@@ -40,11 +40,12 @@ other:
     Cauchy-type loop integral over a keyhole contour around ``[c, x]``.
 ``fourier_differint``
     multiplier ``(-i*lambda)^nu`` on the transform of uniform samples, with
-    the branch ``|lambda|^nu * exp(-i*pi*nu*sgn(lambda)/2)``.  The samples
-    are zero-padded by ``pad_factor`` in effect only: one transform of the
-    multiplier on the padded frequency grid gives a convolution kernel, and
-    its central ``2m - 1`` lags are convolved with the ``m`` samples by a
-    short FFT.
+    the branch ``|lambda|^nu * exp(-i*pi*nu*sgn(lambda)/2)``.  One transform
+    of the multiplier on a frequency grid of ``2m`` points (``pad_factor``
+    times ``m``) gives a convolution kernel; the wrapped images of its
+    algebraic tail are subtracted from its central ``2m - 1`` lags as one
+    Hurwitz zeta sum, and those lags are convolved with the ``m`` samples by
+    a short FFT.  The result is the whole-line multiplier to rounding.
 
 A uniform grid from a base at -inf (``differint --grid`` with the quadrature
 or Caputo method) takes a private lattice rule where it applies: there both
@@ -147,6 +148,50 @@ def _rgamma(z):
         # -inf and above the overflow point it is 0.
         return x if abs(x) < 1.0 else 0.0
     return 1.0 / g if g else math.copysign(math.inf, g)
+
+
+#: Terms of the Hurwitz zeta summed directly; the rest is the Euler-Maclaurin tail.
+_ZETA_TERMS = 6
+
+# B_2j / (2j)! for j = 1..10, the Euler-Maclaurin coefficients of the zeta tail.
+_BERNOULLI_OVER_FACTORIAL = (
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600,
+    -3617 / 10670622842880000, 43867 / 5109094217170944000, -174611 / 802857662698291200000,
+)
+
+
+def _hurwitz_zeta(s, q):
+    """``zeta(s, q) = sum_(k >= 0) (k + q)^(-s)`` at ``q > 0``, continued analytically to every ``s != 1``.
+
+    Six terms are summed directly and the rest is the Euler-Maclaurin tail
+    at ``a = q + 6`` with ten Bernoulli terms, a formula that continues to
+    ``Re(s) < 1`` as it stands.  There, near ``s = 0``, every term is near 1
+    and their sum cancels against the tail, so each term is summed as its
+    excess over 1 (``expm1``) and the ones with the tail's leading part in
+    closed form: ``6 - a/(1 - s) = -(6 s + q)/(1 - s)``.  A real ``s``
+    stays in float64; ``q`` is a float or an array.  Within 1e-14 relative
+    of mpmath for ``0.1 <= Re(s) <= 2.9`` and ``0.5 <= q <= 1.5``.  The lattice
+    rule takes ``zeta(2 + mu, 1)`` and the multiplier engine ``zeta(1 + nu, q)``.
+    """
+    q = np.asarray(q, dtype=float)
+    a = q + _ZETA_TERMS
+    log_a = np.log(a)
+    power = np.exp(-s * log_a)  # a^(-s)
+    if s.real < 1.0:
+        total = -(_ZETA_TERMS * s + q + a * np.expm1(-s * log_a)) / (1.0 - s)
+        for k in range(_ZETA_TERMS):
+            total += np.expm1(-s * np.log(q + k))
+    else:
+        total = a * power / (s - 1.0)
+        for k in range(_ZETA_TERMS):
+            total += np.exp(-s * np.log(q + k))
+    total += 0.5 * power
+    rising, power = s, power / a  # s (s+1) ... (s+2j-2) and a^(-s-2j+1)
+    for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        total += coef * rising * power
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power = power / (a * a)
+    return total
 
 
 @dataclass(frozen=True)
@@ -639,24 +684,15 @@ def differint(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QU
 #: points; an input whose cut lies further below the grid takes the graded path.
 _LATTICE_CAP = 64
 
-# B_2j / (2j)! for j = 1..5, the Euler-Maclaurin coefficients of the zeta tail.
-_BERNOULLI_OVER_FACTORIAL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
-
 
 def _zeta_reflected(mu: float) -> float:
     """``zeta(-1 - mu)`` for real ``mu > 0``, by reflection from ``zeta(2 + mu)``.
 
-    ``zeta(2 + mu)`` is a 16-term sum plus its Euler-Maclaurin tail, and
     ``zeta(-1-mu) = -2^(-1-mu) pi^(-2-mu) cos(pi mu / 2) Gamma(2+mu) zeta(2+mu)``.
     """
-    s, k = 2.0 + mu, 16
-    total = sum(j**-s for j in range(1, k)) + k ** (1.0 - s) / (s - 1.0) + 0.5 * k**-s
-    rising, power = s, k ** (-s - 1.0)  # s (s+1) ... (s+2j-2) and k^(-s-2j+1)
-    for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
-        total += coef * rising * power
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= k * k
-    return -(2.0 ** (-1.0 - mu)) * math.pi ** (-2.0 - mu) * math.cos(0.5 * math.pi * mu) * math.gamma(s) * total
+    s = 2.0 + mu
+    return (-(2.0 ** (-1.0 - mu)) * math.pi ** (-2.0 - mu) * math.cos(0.5 * math.pi * mu) * math.gamma(s)
+            * float(_hurwitz_zeta(s, 1.0)))
 
 
 def _lattice_weights(mu: float, size: int) -> np.ndarray:
@@ -883,28 +919,56 @@ def _fftfreq_multiplier(n: int, d: float, nu: complex) -> np.ndarray:
     return out
 
 
+def _image_scale(nu: complex | float, dx: float, big: int) -> complex | float:
+    """``A * N^(-1-nu)``, with ``A = dx^(-nu) / Gamma(-nu)`` the kernel's tail constant.
+
+    Formed in logs as ``(N dx)^(-nu) / (N Gamma(-nu))``, so that neither
+    ``dx^(-nu)`` nor ``Gamma(-nu)`` overflows on its own; a real ``nu``
+    (not an integer ``>= 0``) stays in floats.  A scale beyond float64
+    raises ``NonConvergent``.
+    """
+    log_size = -nu * math.log(big * dx) - math.log(big)
+    try:
+        if nu.imag:
+            return _rgamma(-nu) * cmath.exp(log_size)
+        sign = 1.0 if nu.real < 0 else (-1.0) ** math.ceil(nu.real)  # the sign of Gamma(-nu)
+        return sign * math.exp(log_size.real - math.lgamma(-nu.real))
+    except OverflowError:
+        raise NonConvergent("multiplier overflows float64 at this order") from None
+
+
 def fourier_differint(
     u: SampledCurve,
     nu: complex,
     *,
-    pad_factor: int = 32,
+    pad_factor: int = 2,
 ) -> SampledCurve:
     """Whole-line differintegral of uniform samples by Fourier multiplier.
 
-    The result is that of zero-padding the ``m`` samples to
-    ``N = m * pad_factor``, transforming, multiplying by ``(-i*lambda)^nu``
-    on the ``N``-point frequency grid and transforming back: the fractional
-    derivative of a localized function decays only algebraically
-    downstream, so padding keeps the periodization error well below the
-    quadrature cross-check tolerances.  Requires the samples themselves to
-    have decayed at the box edges: an edge sample above 1e-8 of the peak
-    raises ``EdgeLeakage``.
+    The result is ``(-i*lambda)^nu`` applied to the ``m`` samples on the
+    whole line, exact to rounding for samples whose spectrum has decayed
+    by the Nyquist frequency: at the default pad it is within 1e-10 of the
+    peak of mpmath's values on gaussians and gaussian dipoles for
+    ``-0.9 <= nu <= 1.9``, complex orders included.  Requires the samples
+    themselves to have decayed at the box edges: an edge sample above 1e-8
+    of the peak raises ``EdgeLeakage``.
 
-    The first ``m`` outputs of that round trip are a circular convolution of
-    the samples with the kernel ``fft(multiplier) / N`` that reads only the
-    lags ``|d| < m``.  So one ``N``-point transform of the multiplier gives
-    the kernel, its ``2m - 1`` central lags are kept, and they are convolved
-    with the samples by transforms of length ``>= 2m - 1``.
+    Zero-padding the samples to ``N = m * pad_factor``, transforming,
+    multiplying on the ``N``-point frequency grid and transforming back is
+    a circular convolution with the kernel ``K_N = fft(multiplier) / N``
+    whose first ``m`` outputs read only the lags ``|d| < m``.  So one
+    ``N``-point transform of the multiplier gives the kernel, its ``2m - 1``
+    central lags are kept, and they are convolved with the samples by
+    transforms of length ``>= 2m - 1``.  By Poisson summation ``K_N`` is the
+    whole-line kernel plus its images at ``d + jN``, and the causal tail
+    ``A * d^(-1-nu)`` (``A = dx^(-nu) / Gamma(-nu)``) of the images
+    ``j >= 1`` sums to the Hurwitz zeta ``A * N^(-1-nu) * zeta(1+nu, 1+d/N)``,
+    continued analytically for ``Re(nu) < 0``; that sum is subtracted from
+    every kept lag (integer orders ``>= 0`` have no such tail).  With
+    ``pad_factor >= 2`` every image lies beyond the kept window, where the
+    tail is its asymptote; at ``pad_factor = 1`` the first image of the
+    most negative lags lands in the kernel's near field, so 2 is the
+    default and a larger pad buys nothing but time.
 
     The zero-frequency coefficient is annihilated for ``Re(nu) > 0`` and is
     only acceptable for ``Re(nu) <= 0`` (``nu != 0``) when the sample mean
@@ -937,6 +1001,15 @@ def fourier_differint(
         kernel = np.fft.fft(_fftfreq_multiplier(big, u.dx, nu))[lags] / big
         if not np.all(np.isfinite(kernel)):
             raise NonConvergent(too_high)
+        # The images' tail sum, taken for the order s - 1 that s holds exactly.
+        # As that order goes to 0, where s rounds to 1, the sum tends to -1/N:
+        # the DC bin that the multiplier zeroes.  At the integers nu >= 0,
+        # 1/Gamma(-nu) = 0 and the kernel has no algebraic tail.
+        s = 1.0 + (nu if nu.imag else nu.real)
+        if s == 1.0 and nu:
+            kernel += 1.0 / big
+        elif s != 1.0 and not (nu.imag == 0 and nu.real > 0 and nu.real == round(nu.real)):
+            kernel -= _image_scale(s - 1.0, u.dx, big) * _hurwitz_zeta(s, 1.0 + np.arange(1 - m, m) / big)
         size = 1 << (2 * m - 2).bit_length()
         out = np.fft.ifft(np.fft.fft(vals, size) * np.fft.fft(kernel, size))[m - 1 : 2 * m - 1]
     if not np.all(np.isfinite(out)):

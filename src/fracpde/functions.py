@@ -153,8 +153,9 @@ class FunctionSpec:
         if k == "exponential":
             return np.exp(p["a"] * y)
         if k == "gaussian":
-            z = (y - p["center"]) / p["width"]
-            return np.exp(-0.5 * z * z)
+            with np.errstate(over="ignore"):  # far out z*z overflows, and the value there is exactly 0
+                z = (y - p["center"]) / p["width"]
+                return np.exp(-0.5 * z * z)
         if k == "step":
             return ((y >= p["a"]) & (y <= p["b"])).astype(float)
         if k == "bump":

@@ -303,9 +303,10 @@ def _check_schwartz_conv(config: VerifyConfig) -> tuple:
     # convolutions are linear (zero-padded), not periodic: the derivative
     # tails decay only algebraically, and wrapping them around the box
     # would swamp the tolerance, while in the interior the gaussian factor
-    # annihilates whatever the truncation discards.  The multiplier pad is
-    # raised far above its engine default for the same reason: its
-    # periodization error floor sits near 1e-4 at the default.
+    # annihilates whatever the truncation discards.  The multiplier's pad
+    # of 1024 no longer buys accuracy, since the engine subtracts its
+    # wrapped tail at every pad; it stays only until the verify benchmark's
+    # round count stops hinging on this check's time (ROADMAP direction 1).
     grid = BoxGrid(1, config.grid_m // 2, config.grid_length)
     xs = grid.axis()
     f, g = gaussian(0.0, 1.0), gaussian(0.5, 0.8)

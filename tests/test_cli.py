@@ -308,7 +308,8 @@ class TestDifferint:
             warnings.simplefilter("error")
             assert run_cli(["differint", "--func", "gaussian", "--method", "fourier", "--nu", "60.5",
                             "--c", "-inf", "--at", "0.3"]) == 0
-        assert capsys.readouterr().out == "3.54321096086816e+134+8.13469347100169e+134j\n"
+        # Rounding noise of |lambda_max|^60.5 * eps, pinned so that a change to the engine shows.
+        assert capsys.readouterr().out == "6.84221016588364e+134+8.46710329529045e+134j\n"
 
     def test_power_from_minus_inf_is_a_computation_error(self, capsys):
         assert run_cli(["differint", "--func", "power", "--nu", "0.5", "--c", "-inf", "--at", "0.3"]) == 1
@@ -455,6 +456,13 @@ class TestSolveAndSobolev:
     def test_sobolev_needs_exactly_one_input(self, runner):
         result = runner.invoke(main, ["sobolev"])
         assert result.exit_code == 2
+
+    def test_sobolev_of_a_missing_field_file_is_a_computation_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.field"
+        assert run_cli(["sobolev", "--field", str(missing), "--s", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
     @pytest.mark.parametrize("option", [["--min-radius", "50"], ["--min-radius=7"],
                                         ["--min-radius", "0"]])

@@ -519,7 +519,7 @@ def _dipole(x):
 
 
 class TestFourierKernel:
-    """The one-kernel-transform engine against the padded round trip."""
+    """The one-kernel-transform engine: its plumbing against the padded round trip."""
 
     @pytest.mark.parametrize("m", [64, 65])
     @pytest.mark.parametrize("pad", [1, 2, 3, 32])
@@ -527,7 +527,10 @@ class TestFourierKernel:
         "nu, fn",
         [(0.0, _gauss), (0.3, _gauss), (1.5, _gauss), (0.5 + 0.2j, _gauss), (-0.5, _dipole)],
     )
-    def test_matches_padded_round_trip(self, m, pad, nu, fn):
+    def test_matches_padded_round_trip(self, m, pad, nu, fn, monkeypatch):
+        # Without the image sum the kernel's lags and the convolution are the
+        # padded round trip's; the sum itself is checked against mpmath below.
+        monkeypatch.setattr(fracops, "_image_scale", lambda nu, dx, big: 0.0)
         u = _line_curve(m, fn)
         want = _padded_round_trip(u, nu, pad)
         got = fourier_differint(u, nu, pad_factor=pad).values
@@ -559,6 +562,154 @@ class TestFourierKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * m * pad * 16
+
+
+def _old_zeta_reflected(mu):
+    """``zeta(-1 - mu)`` as the lattice rule first took it: 15 terms, Euler-Maclaurin at 16 with 5 Bernoulli terms."""
+    s, k = 2.0 + mu, 16
+    total = sum(j**-s for j in range(1, k)) + k ** (1.0 - s) / (s - 1.0) + 0.5 * k**-s
+    rising, power = s, k ** (-s - 1.0)
+    for j, coef in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160), start=1):
+        total += coef * rising * power
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= k * k
+    return -(2.0 ** (-1.0 - mu)) * math.pi ** (-2.0 - mu) * math.cos(0.5 * math.pi * mu) * math.gamma(s) * total
+
+
+class TestHurwitzZeta:
+    """The private Hurwitz zeta that both the multiplier engine and the lattice rule take."""
+
+    REAL_S = [round(0.1 * k, 1) for k in range(1, 30) if k != 10]
+    COMPLEX_S = [complex(sigma, tau) for sigma in (0.1, 0.5, 0.9, 1.0, 1.3, 2.0, 2.9) for tau in (0.2, 0.3, -0.5, 1.0)]
+    Q = np.linspace(0.5, 1.5, 21)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_mpmath(self, kind):
+        worst = 0.0
+        with mpmath.workdps(30):
+            for s in self.REAL_S if kind == "real" else self.COMPLEX_S:
+                got = fracops._hurwitz_zeta(s, self.Q)
+                assert got.dtype == (np.float64 if kind == "real" else np.complex128)
+                want = np.array([complex(mpmath.zeta(s, mpmath.mpf(float(q)))) for q in self.Q])
+                worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+        assert worst <= 1e-14
+
+    def test_scalar_q_and_continuation_below_zero(self):
+        assert fracops._hurwitz_zeta(0.0, 0.75) == pytest.approx(-0.25, abs=1e-15)  # 1/2 - q
+        # -B_2(q)/2; below s = 0 the terms grow with k and the sum keeps about 14 digits of its largest one.
+        assert fracops._hurwitz_zeta(-1.0, 0.75) == pytest.approx(-(0.75**2 - 0.75 + 1 / 6) / 2, abs=1e-14)
+        assert float(fracops._hurwitz_zeta(2.0, 1.0)) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("mu", [0.01, 0.15, 0.5, 1.0, 1.3, 1.99])
+    def test_reflected_zeta_keeps_its_value(self, mu):
+        assert fracops._zeta_reflected(mu) == pytest.approx(_old_zeta_reflected(mu), rel=1e-15, abs=0)
+
+
+def _mp_gaussian(x, nu, center, width):
+    """``D^nu`` from -inf of ``exp(-z^2/2)``, ``z = (x - center)/width``: ``width^-nu exp(-z^2/4) D_nu(-z)``."""
+    z = (mpmath.mpf(x) - center) / width
+    return mpmath.mpf(width) ** (-nu) * mpmath.exp(-z * z / 4) * mpmath.pcfd(nu, -z)
+
+
+def _mp_dipole(x, nu):
+    """``D^nu`` from -inf of the identity suite's dipole ``exp(-(x-1)^2) - exp(-(x+1)^2)``."""
+    return _mp_gaussian(x, nu, 1, 1 / mpmath.sqrt(2)) - _mp_gaussian(x, nu, -1, 1 / mpmath.sqrt(2))
+
+
+def _fourier_cases(count=12, seed=2506):
+    """Orders in [-0.9, 1.9] at least 0.05 from the integers: the dipole at any, gaussians of width 1-2 above 0."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < 2 * count:
+        nu = round(float(rng.uniform(-0.9, 1.9)), 3)
+        if abs(nu - round(nu)) < 0.05:
+            continue
+        if len(cases) % 2:
+            cases.append(("dipole", nu))
+        elif nu > 0:
+            center, width = round(float(rng.uniform(-2, 2)), 3), round(float(rng.uniform(1, 2)), 3)
+            cases.append((f"gaussian[{center},{width}]", nu))
+    ends = [("dipole", -0.9), ("dipole", 1.9), ("gaussian[0.3,1.2]", 0.1), ("gaussian[0.3,1.2]", 1.9),
+            ("dipole", -1.5)]  # below -1 the images' sum is zeta continued to s < 0
+    return cases + ends + [("dipole", 0.3j), ("dipole", 0.5 + 0.2j), ("gaussian[0.3,1.2]", 0.5 + 0.2j)]
+
+
+def _fourier_case(name, nu):
+    """The samples' function and the mpmath reference of a case: ``dipole`` or ``gaussian[center,width]``."""
+    if name == "dipole":
+        return _dipole, lambda x: _mp_dipole(x, nu)
+    center, width = map(float, name[len("gaussian["):-1].split(","))
+    return (lambda x: np.exp(-0.5 * ((x - center) / width) ** 2)), (lambda x: _mp_gaussian(x, nu, center, width))
+
+
+class TestFourierAgainstMpmath:
+    """``fourier_differint`` at its default pad against mpmath, on the CLI's default 4096-point box."""
+
+    M, L = 4096, 40.0
+    PROBES = (1200, 1800, 2048, 2300, 2900)
+
+    def _curve(self, fn, m=None, length=None):
+        m, length = m or self.M, length or self.L
+        xs = -length / 2 + (length / m) * np.arange(m)
+        return xs, SampledCurve(float(xs[0]), length / m, fn(xs))
+
+    @pytest.mark.parametrize("name, nu", _fourier_cases())
+    def test_within_1e_10_of_the_peak(self, name, nu):
+        fn, ref = _fourier_case(name, nu)
+        xs, u = self._curve(fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fourier_differint(u, nu).values
+        with mpmath.workdps(20):
+            want = np.array([complex(ref(xs[i])) for i in self.PROBES])
+        assert np.max(np.abs(got[list(self.PROBES)] - want)) <= 1e-10 * np.max(np.abs(got))
+
+    def test_parabolic_cylinder_form_is_mpmaths_differint(self):
+        with mpmath.workdps(20):
+            want = mpmath.differint(lambda t: mpmath.exp(-0.5 * ((t - 0.3) / 1.2) ** 2), 0.7, 0.5, x0=-mpmath.inf)
+            assert complex(_mp_gaussian(0.7, 0.5, 0.3, 1.2)) == pytest.approx(complex(want), rel=1e-15)
+
+    @pytest.mark.parametrize("nu", [0, 1, 2])
+    def test_integer_orders_without_a_warning(self, nu):
+        g = gaussian(0.3, 1.2)
+        xs, u = self._curve(g.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fourier_differint(u, nu).values
+        want = g.derivative_values(xs, nu)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("fn, nu", [(_gauss, 1e-17), (_gauss, 1e-15), (_gauss, 1e-12), (_gauss, 1e-12 + 1e-12j),
+                                        (_dipole, -1e-17), (_dipole, 1e-12j)])
+    def test_orders_near_zero_are_near_the_identity(self, fn, nu):
+        # |D^nu f - f| is of the order of |nu| here; the zeroed DC bin alone would cost sum(f)/N.
+        xs, u = self._curve(fn)
+        assert np.max(np.abs(fourier_differint(u, nu).values - u.values)) <= 1e-10
+
+    @pytest.mark.parametrize("nu", [0.4, 1.3, 0.5 + 0.2j])
+    def test_odd_sample_count_has_no_nyquist_bin(self, nu):
+        xs, u = self._curve(gaussian(0.3, 1.2).value, m=1001, length=20.0)
+        got = fourier_differint(u, nu).values
+        probes = [250, 500, 750]
+        with mpmath.workdps(20):
+            want = np.array([complex(_mp_gaussian(xs[i], nu, 0.3, 1.2)) for i in probes])
+        assert np.max(np.abs(got[probes] - want)) <= 1e-10 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("m", [1001, 1024, 4096])
+    @pytest.mark.parametrize("nu", [0.3, 0.9, 1.5, 0.5 + 0.2j])
+    def test_step_is_no_worse_than_padding_by_32(self, m, nu):
+        # A step's spectrum has not decayed by Nyquist, so the kernel's
+        # alternating part is read too; away from the jumps the default pad
+        # must still do as well as a pad of 32.
+        a, b = -1.0, 1.5
+        xs, u = self._curve(step(a, b).value, m=m, length=self.L if m == self.M else 20.0)
+        far = (np.abs(xs) <= xs[-1] / 2) & (np.abs(xs - a) >= 0.5) & (np.abs(xs - b) >= 0.5)
+        with mpmath.workdps(20):
+            scale = mpmath.rgamma(1 - nu)
+            want = np.array([complex(scale * (((x - a) ** -nu if x > a else 0) - ((x - b) ** -nu if x > b else 0)))
+                             for x in map(mpmath.mpf, xs[far])])
+        at_default = np.max(np.abs(fourier_differint(u, nu).values[far] - want))
+        assert at_default <= np.max(np.abs(fourier_differint(u, nu, pad_factor=32).values[far] - want))
 
 
 class TestHankelLoop:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestValues:
         g = gaussian(3.0, 2.0)
         assert g.value(3.0) == 1.0
         assert g.value(5.0) == pytest.approx(math.exp(-0.5))
+
+    def test_gaussian_far_out_is_zero_without_a_warning(self):
+        g = FunctionSpec.from_dict({"kind": "gaussian", "center": 0, "width": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(g.value(np.array([1e200, -1e200, 1e3]))) == [0.0, 0.0, 0.0]
 
     def test_step_edges(self):
         s = step(-1, 1)

@@ -60,10 +60,23 @@ def test_main_pools_records_and_writes_nothing(tool, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "10 commands from 2 record(s)"
     assert out[3].split() == ["differint-quadrature", "exponential", "4", "35.00", "0.350"]
-    assert out[-1].split() == ["all", "*", "10", "40.00", "1.000"]
+    # The table's last row, then one tail line per record.
+    assert out[-3].split() == ["all", "*", "10", "40.00", "1.000"]
+    assert out[-2:] == [f"op_tail_ms 60.00 at p100.0 of 5 in {p.name}: differint-quadrature 1, verify 1"
+                        for p in paths]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
 
 def test_no_record_is_a_usage_error(tool, capsys):
     assert tool.main(["kind_medians.py"]) == 2
     assert "RECORD" in capsys.readouterr().err
+
+
+def test_tail_names_the_kinds_at_or_above_perfbenchs_rank(tool):
+    # 20 commands: the rank is n - 10 = 10, the caputo command at 19.5 ms.
+    commands = ([_cmd("differint-quadrature", 5.0, "gaussian") for _ in range(9)]
+                + [_cmd("differint-caputo", 19.5, "gaussian")]
+                + [_cmd("differint-fourier", 20.0 + k, "gaussian") for k in range(10)])
+    value, percentile, count, kinds = tool.tail_kinds(commands)
+    assert (value, percentile, count) == (19.5, 50.0, 20)
+    assert kinds == [("differint-fourier", 10), ("differint-caputo", 1)]
