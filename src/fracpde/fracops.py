@@ -19,19 +19,26 @@ other:
     differentiating the quadrature formula analytically in the scaled
     variable (the mesh is fixed in ``tau = (x-y)/(x-base)``, so the nodes
     move affinely with ``x`` and the formula differentiates term by term).
-    Points above a compact support see a smooth kernel and take the
-    continued formula for ``D^nu`` directly, on a mesh placed on the
-    support so the input is evaluated once for all of them; a batch
-    straddling the support end is split between the two.  Only inputs
+    An input with a support ``(lo, hi)`` (a step, a bump, a sampled curve,
+    a gaussian over ``center +- 9 width``, a callable that declares one) is
+    integrated over it alone, from any base including -inf: points at or
+    below ``lo`` read zero, points in ``(lo, hi]`` integrate from
+    ``max(c, lo)`` (on a mesh graded toward ``y = x`` alone when the input
+    enters smoothly at a support start above the base), and points above
+    ``hi`` see a smooth kernel and take the continued formula for ``D^nu``
+    directly, on a mesh placed on the support so the input is evaluated
+    once for all of them; a batch straddling the support end is split
+    between the two.  Only inputs
     without usable closed-form derivatives on ``[base, x]`` fall back to
     central finite differences of the integral.
     The (points x nodes) integrand matrices are built and reduced in row
     blocks of bounded size, in float64 when the order and the input are
     real, so memory does not grow with the batch.  From a base at -inf the
-    tail mesh is rigid in ``t = x - y``, so an input whose shift factors as
-    ``f(x - t) = f(x) * exp(-a*t)`` (the exponential, an eigenfunction
-    there, and its derivatives; the input names ``a`` as ``shift_rate``)
-    forms no matrix: every row is ``f(x_i)`` times the same
+    one input without a support that decays is the exponential, whose shift
+    factors as ``f(x - t) = f(x) * exp(-a*t)`` (it is an eigenfunction
+    there, and so are its derivatives; the input names ``a`` as
+    ``shift_rate``).  Its tail mesh is rigid in ``t = x - y`` and cut at
+    ``45/a``, and it forms no matrix: every row is ``f(x_i)`` times the same
     ``exp(-a*t_j)``, so one quadrature sum over the same mesh and weights,
     scaled by the values at the points, gives every point.
 ``caputo_derivative``
@@ -53,7 +60,8 @@ compute ``I^mu f^(n)``, and the product-integration weights on a uniform
 mesh are Toeplitz, so ``f^(n)`` is sampled once on a lattice of spacing
 ``dx/r`` from the input's cut to one step above the grid and the curve is
 one FFT convolution, plus the regular ``h^2`` and the branch point's
-``h^(mu+2)`` Euler-Maclaurin terms.  ``r`` is the smallest integer that
+``h^(mu+2)`` Euler-Maclaurin terms; the cut is the start of the input's
+support.  ``r`` is the smallest integer that
 makes the lattice no coarser than the graded mesh on average, so
 ``subintervals`` sets its resolution.  Exponentials, steps, sampled curves,
 complex orders, finite bases, single points and library calls keep the
@@ -83,7 +91,7 @@ from .errors import (
     PoleHitWarning,
     WrongSign,
 )
-from .functions import FunctionSpec, SampledCurve, _falling, as_evaluable
+from .functions import CallableFn, FunctionSpec, SampledCurve, _falling, as_evaluable
 
 __all__ = [
     "DifferintOrder",
@@ -109,6 +117,10 @@ _DC_TOL = 1e-10
 # Samples at the box edges above this fraction of the peak have not decayed
 # enough for the multiplier.
 _EDGE_TOL = 1e-8
+
+# From a base at -inf an exponential ``e^(a*y)`` is integrated over ``45/a``
+# below each point, where it has fallen to ``e^-45`` (2.9e-20) of its value.
+_EXP_TAIL_FACTOR = 45.0
 
 
 # Gamma and 1/Gamma of a real argument come from ``math.gamma`` (within
@@ -233,9 +245,10 @@ class QuadratureConfig:
     ``subintervals`` linear pieces on a mesh graded with exponent
     ``grading`` toward both ends of the integration range (``grading = 1``
     is uniform; larger values cluster nodes at the kernel singularity
-    ``y -> x`` and at the base point).  The tail cut of a base at ``-inf``
-    is not a setting: an input with a support is integrated over it exactly,
-    and any other input names its own cut (``truncation_length``).
+    ``y -> x`` and at the base point).  The cut of a base at ``-inf`` is
+    not a setting: an input is integrated over its support (a gaussian's
+    is ``center +- 9 width``), and the exponential over ``45/a`` below each
+    point.
     """
 
     subintervals: int = 2048
@@ -275,11 +288,15 @@ def _real_if_real(mu: complex) -> complex | float:
 
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
-def _graded_mesh(n_sub: int, grading: float) -> np.ndarray:
-    """Two-sided graded nodes on [0, 1], read-only; n_sub is rounded up to even."""
+def _graded_mesh(n_sub: int, grading: float, one_sided: bool = False) -> np.ndarray:
+    """Graded nodes on [0, 1], read-only; n_sub is rounded up to even.
+
+    Two-sided by default; ``one_sided`` grades toward 0 alone, as ``u^grading``.
+    """
     n_sub += n_sub % 2
     u = np.arange(n_sub + 1) / n_sub
-    tau = np.where(u <= 0.5, 0.5 * (2 * u) ** grading, 1.0 - 0.5 * (2 * (1 - u)) ** grading)
+    tau = u**grading if one_sided else np.where(u <= 0.5, 0.5 * (2 * u) ** grading,
+                                                 1.0 - 0.5 * (2 * (1 - u)) ** grading)
     tau[0], tau[-1] = 0.0, 1.0
     tau.flags.writeable = False
     return tau
@@ -316,26 +333,16 @@ def _node_weights(t: np.ndarray, mu: complex) -> np.ndarray:
     return w
 
 
-def _unit_weights(n_sub: int, grading: float, mu: complex) -> tuple[np.ndarray, np.ndarray]:
+def _unit_weights(n_sub: int, grading: float, mu: complex, one_sided: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Read-only graded mesh on [0, 1] and its weights for kernel order ``mu``."""
-    return _graded_mesh(n_sub, grading), _mesh_weights(n_sub, grading, _real_if_real(mu))
+    return _graded_mesh(n_sub, grading, one_sided), _mesh_weights(n_sub, grading, _real_if_real(mu), one_sided)
 
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
-def _mesh_weights(n_sub: int, grading: float, mu: complex | float) -> np.ndarray:
-    w = _node_weights(_graded_mesh(n_sub, grading), mu)
+def _mesh_weights(n_sub: int, grading: float, mu: complex | float, one_sided: bool) -> np.ndarray:
+    w = _node_weights(_graded_mesh(n_sub, grading, one_sided), mu)
     w.flags.writeable = False
     return w
-
-
-def _tail_span(f, x: np.ndarray) -> float:
-    """Length of the truncated tail integral for a base point at -inf, from the input's own cut."""
-    try:
-        # truncation_length is nondecreasing in x, so the last point needs the most.
-        return f.truncation_length(float(np.max(x)))
-    except ValueError as exc:
-        # Raised by inputs with no cut: power, polynomial, a callable without a truncation.
-        raise NonConvergent(str(exc)) from exc
 
 
 def _tail_rule(values_fn, mu: complex, x: np.ndarray, span: float, n_sub: int,
@@ -376,23 +383,13 @@ def _check_finite(vals: np.ndarray, what: str) -> None:
         raise NotSmoothEnough(f"{what} evaluated non-finite on the integration range")
 
 
-def _translated_rule(values_fn, x: np.ndarray, t: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
-    """``sum_j w_j * values_fn(x_i - t_j)`` for nodes rigid in ``t = x - y``, by row blocks."""
-    out = np.empty(x.shape, dtype=complex)
-    for rows in _row_blocks(x.size, t.size):
-        fv = np.asarray(values_fn(x[rows, None] - t))
-        _check_finite(fv, what)
-        out[rows] = fv @ w
-    return out
-
-
 def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, span: float, config: QuadratureConfig,
                    what: str) -> np.ndarray:
     """The tail rule for an input with ``f(x - t) = f(x) * exp(-rate*t)``, as ``f(x) * (exp(-rate*t) @ w)``.
 
-    Each row of ``_translated_rule``'s node matrix is ``f(x_i)`` times the
-    same ``exp(-rate*t_j)``, so one quadrature sum over the same mesh and
-    weights serves every point, and the input is evaluated only at the
+    Each row ``f(x_i - t_j)`` of the tail rule's node matrix is ``f(x_i)``
+    times the same ``exp(-rate*t_j)``, so one quadrature sum over the same
+    mesh and weights serves every point, and the input is evaluated only at the
     points and at the envelope probe.  A value beyond float64, at a point
     or in the product, raises ``NonConvergent``.
     """
@@ -410,28 +407,83 @@ def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, span: float, confi
     return np.asarray(out, dtype=complex)
 
 
-def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: QuadratureConfig) -> np.ndarray:
-    """Product integration over ``y`` in ``[lo, hi]`` for points ``x > hi``, away from the kernel singularity.
+#: Points more than this many support lengths above a support take the
+#: shifted rule's uniform mesh and far moments.
+_FAR_SUPPORTS = 16
 
-    The graded mesh lies on the support, so the input is evaluated once and
-    its piecewise-linear pieces (values ``f_k``, slopes ``g_k`` in
-    ``t = x - y``) serve every row.  A row block forms only the kernel
-    moments of its own ``t``: with ``m0_k`` and ``m1_k`` the integrals of
-    ``t^(mu-1)`` and ``t^(mu-1) (t - t_k)`` over ``[t_k, t_(k+1)]``, a row's
-    value is ``m0 @ f_k + m1 @ g_k``.
+
+def _near_moments(x, y, step, mu):
+    """``m0``, ``m1`` of ``_shifted_rule`` for the points ``x`` (a column), as differences at the piece ends."""
+    t = x - y
+    tp = np.exp(mu * np.log(t))
+    m0 = np.diff(tp, axis=-1) / mu
+    return m0, np.diff(t * tp, axis=-1) / (mu + 1) - t[:, :-1] * m0
+
+
+def _far_moments(x, y, step, mu):
+    """``m0``, ``m1`` of ``_shifted_rule`` for the points ``x`` (a column), where ``step / t`` is small.
+
+    ``m0 = t^mu expm1(mu log1p(r)) / mu`` with ``r = step / t``, and
+    ``m1 = t^(mu-1) step^2 J(r)`` with ``J(r) = int_0^1 (1 + r u)^(mu-1) u du
+    = sum_j binom(mu-1, j) r^j / (j+2)``, summed until its terms fall below
+    rounding.  ``t^mu`` is formed as ``t^(mu-1) t``, so it overflows only
+    where the moments do.
     """
-    y = hi - (hi - lo) * _graded_mesh(config.subintervals, config.grading)
-    y[0], y[-1] = hi, lo
-    fv = np.asarray(f.value(y))
-    _check_finite(fv, "input")
-    fk, gk = fv[:-1], np.diff(fv) / (y[:-1] - y[1:])
+    t = x - y[:-1]
+    r = step / t
+    r_top = float(np.max(r))
+    coef, c = [], 1.0  # binom(mu-1, j) / (j+2), while binom(mu-1, j) r^j is above rounding
+    while abs(c) * r_top ** len(coef) >= 1e-17:
+        coef.append(c / (len(coef) + 2))
+        c *= (mu - len(coef)) / len(coef)
+    j_r = coef[-1]
+    for a in reversed(coef[:-1]):
+        j_r = j_r * r + a
+    tp = np.exp((mu - 1) * np.log(t))
+    return tp * (t * np.expm1(mu * np.log1p(r))) / mu, tp * (step * step) * j_r
+
+
+def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: QuadratureConfig) -> np.ndarray:
+    """Product integration over ``y`` in ``[lo, hi]`` for points ``x > hi``, times ``1/Gamma(mu)``.
+
+    The points lie away from the kernel singularity.  The mesh lies on the
+    support, so the input is evaluated once and its piecewise-linear pieces
+    (values ``f_k``, slopes ``g_k`` in ``t = x - y``) serve every row.  A row
+    block forms only the kernel moments of its own ``t``: with ``m0_k`` and
+    ``m1_k`` the integrals of ``t^(mu-1)`` and ``t^(mu-1) (t - t_k)`` over
+    ``[t_k, t_(k+1)]``, a row's value is ``m0 @ f_k + m1 @ g_k``.
+
+    Within ``_FAR_SUPPORTS`` support lengths of ``hi`` the mesh is graded
+    toward both support ends and the moments are differences of ``t^mu``
+    and ``t^(mu+1)`` at the piece ends.  Farther out the kernel is nearly
+    constant over the support, so the mesh is uniform (on a unit gaussian
+    the rule is then within 4e-10 relative of mpmath where the graded mesh
+    reads 2.3e-6), and those differences would cancel (by x = 1e8 they are
+    16% off, and above 1e16 ``x - y`` rounds to ``x``), so ``_far_moments``
+    forms the moments from the mesh steps ``y_k - y_(k+1)``.  A value that
+    is not finite, with ``1/Gamma(mu)`` or without, raises ``NonConvergent``.
+    """
+    far = x - hi > _FAR_SUPPORTS * (hi - lo)
     out = np.empty(x.shape, dtype=complex)
-    for rows in _row_blocks(x.size, y.size):
-        t = x[rows, None] - y
-        tp = np.exp(mu * np.log(t))
-        m0 = np.diff(tp, axis=-1) / mu
-        m1 = np.diff(t * tp, axis=-1) / (mu + 1) - t[:, :-1] * m0
-        out[rows] = m0 @ fk + m1 @ gk
+    for part, tau, moments in ((~far, _graded_mesh(config.subintervals, config.grading), _near_moments),
+                               (far, np.linspace(0.0, 1.0, config.subintervals + 1), _far_moments)):
+        idx = np.flatnonzero(part)
+        if not idx.size:
+            continue
+        y = hi - (hi - lo) * tau
+        y[0], y[-1] = hi, lo
+        fv = np.asarray(f.value(y))
+        _check_finite(fv, "input")
+        step = y[:-1] - y[1:]
+        fk, gk = fv[:-1], np.diff(fv) / step
+        with np.errstate(over="ignore", invalid="ignore"):  # a row beyond float64 is reported below
+            for rows in _row_blocks(idx.size, y.size):
+                m0, m1 = moments(x[idx[rows], None], y, step, mu)
+                out[idx[rows]] = m0 @ fk + m1 @ gk
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = out * _rgamma(mu)
+    if not np.all(np.isfinite(out)):
+        raise NonConvergent("kernel moments above the support overflow float64 at the evaluation points")
     return out
 
 
@@ -447,20 +499,21 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
     mu = _real_if_real(n - nu)
     support = fe.support
     if c == MINUS_INF and support is None:
-        # Tail mesh is rigid in t = x - y, so the formula translates with x
-        # and the outer derivative lands directly on the integrand.
-        span = _tail_span(fe, x)
+        # Without a support only the exponential decays toward -inf.  Its tail
+        # mesh is rigid in t = x - y, so the formula translates with x and the
+        # outer derivative lands directly on the integrand.
+        if fe.shift_rate is None:
+            if isinstance(fe, CallableFn):
+                raise NonConvergent("callable input needs a support for c = -inf: "
+                                    "wrap it as CallableFn(fn, support=(lo, hi))")
+            raise NonConvergent("input does not decay toward -inf; integral diverges")
+        span = _EXP_TAIL_FACTOR / fe.shift_rate
         if span > 1.0 and (mu.real + 1.0) * math.log(span) - math.log(abs(mu)) >= _LOG_FLOAT_MAX:
             # The kernel moments over the tail, up to span^(mu+1)/mu, overflow.
-            raise NonConvergent("tail integral overflows float64: the points lie too far above the input's cut")
-        if n and fe.derivative_cap < n:
-            return _stencil_path(fe, nu, n, c, x, span, config)
+            raise NonConvergent("tail integral overflows float64: the exponential's rate is too small")
         values = (lambda z: fe.derivative_values(z, n)) if n else fe.value
         what = f"derivative of order {n}" if n else "input"
-        if fe.shift_rate is not None:
-            return _factored_rule(values, fe.shift_rate, mu, x, span, config, what)
-        t, w = _tail_rule(values, mu, x, span, config.subintervals, config.grading)
-        return _translated_rule(values, x, t, w, what) * _rgamma(mu)
+        return _factored_rule(values, fe.shift_rate, mu, x, span, config, what)
 
     if c != MINUS_INF and np.any(x <= c if n else x < c):
         raise DomainOrder(f"evaluation point {'at or ' if n else ''}below the base point")
@@ -482,23 +535,29 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
         # The input vanishes near x, so the kernel (x - y)^(-nu-1) is smooth
         # on [lo, support end]; it differentiates under the integral, and the
         # formula continues to D^nu directly (a derivative of integer order
-        # is zero there).  The mesh is placed on the support, not relative
-        # to x, so every such point shares one evaluation of the input.
+        # is zero there).  The meshes are placed on the support, not relative
+        # to x, so these points share the input's evaluations on them.
         mu_above = _real_if_real(-nu)
-        res[above] = _shifted_rule(fe, x[above], lo, support[1], mu_above, config) * _rgamma(mu_above)
+        res[above] = _shifted_rule(fe, x[above], lo, support[1], mu_above, config)
 
     inside = ~above
     if np.any(inside):
         xi = x[inside]
+        # From a support start above the base where the input enters smoothly
+        # the integrand is flat at lo: the mesh is graded toward y = x alone,
+        # and a stencil may reach below lo, so its step is set by half the
+        # support (and the distance to a finite base), not by x - lo.
+        flat = lo > c and fe.smooth_order_on(lo - eps_near, float(np.max(xi))) >= max(n, 1)
         try:
             # A derivative without closed-form derivatives on [lo, x] takes the stencil.
             if n and (fe.derivative_cap < n or fe.smooth_order_on(lo, float(np.max(xi))) < n):
                 raise NotSmoothEnough
-            res[inside] = _derivative_moment_path(fe, n, mu, xi, lo, config)
+            res[inside] = _derivative_moment_path(fe, n, mu, xi, lo, config, one_sided=flat)
         except NotSmoothEnough:
             if not n:
                 raise
-            res[inside] = _stencil_path(fe, nu, n, c, xi, float(np.min(xi - lo)), config)
+            scale = min(0.5 * (support[1] - lo), float(np.min(xi)) - c) if flat else float(np.min(xi - lo))
+            res[inside] = _stencil_path(fe, nu, n, c, xi, scale, config)
     out[live] = res
     return out
 
@@ -519,10 +578,10 @@ def rl_integral(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_
     ----------
     f:
         FunctionSpec, SampledCurve, or callable.  From ``order.c = -inf`` an
-        input with a support is integrated over it exactly; any other input
-        sets its own tail cut: a decaying catalog kind computes it, a bare
-        callable needs ``CallableFn(fn, truncation=L)``, and a power or a
-        polynomial raises ``NonConvergent``.
+        input with a support is integrated over it alone (a gaussian's is
+        ``center +- 9 width``), and the exponential over ``45/a`` below each
+        point; a bare callable needs ``CallableFn(fn, support=(lo, hi))``,
+        and a power or a polynomial raises ``NonConvergent``.
     order:
         Order and base point; ``Re(order.nu) < 0`` is required.
     x:
@@ -555,13 +614,14 @@ def rl_derivative(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAUL
     return _at_points(as_evaluable(f), complex(order.nu), order.c, order.n, x, config)
 
 
-def _derivative_moment_path(fe, n: int, mu, x, lo, config) -> np.ndarray:
+def _derivative_moment_path(fe, n: int, mu, x, lo, config, one_sided: bool = False) -> np.ndarray:
     """Exact d^n/dx^n of the product-integration formula of kernel order ``mu`` on ``[lo, x]``.
 
     The nodes are affine in ``x``; at ``n = 0`` this is the fixed-base
-    integral itself.
+    integral itself.  The mesh is graded toward both ends, or with
+    ``one_sided`` toward the kernel singularity ``y = x`` alone.
     """
-    tau, w = _unit_weights(config.subintervals, config.grading, mu)
+    tau, w = _unit_weights(config.subintervals, config.grading, mu, one_sided)
     sigma = 1.0 - tau
     sigma_pow = [np.power(sigma, n - k) for k in range(n + 1)]
     too_high = f"derivative of order {n} overflows float64 at the evaluation points"
@@ -661,10 +721,6 @@ class _DerivativeOf:
     def smooth_order_on(self, lo, hi):
         return max(self.base.smooth_order_on(lo, hi) - self.n, 0)
 
-    def truncation_length(self, x):
-        """The base's tail cut, nondecreasing in ``x`` as the base's is."""
-        return self.base.truncation_length(x)
-
     @property
     def shift_rate(self):
         """The base's: ``f^(n)(y - t) = f^(n)(y) * exp(-a*t)`` whenever ``f(y - t) = f(y) * exp(-a*t)``."""
@@ -728,11 +784,11 @@ def _lattice_values(fe, nu: complex, x: np.ndarray, config: QuadratureConfig) ->
     The refinement ``r`` is the smallest integer with ``h`` at most the mean
     spacing of the graded path's mesh, so ``subintervals`` sets the
     resolution here too.  The rule applies to a real order and an input
-    that is not an exponential (those take ``_factored_rule``: the FFT's
-    error is relative to the largest sample), has a closed-form ``f^(n)``,
-    a support or a cut, ``n + 2`` continuous derivatives over the lattice
-    and finite values; a lattice over ``_LATTICE_CAP`` times the grid or
-    the mesh is declined too.
+    with a support (not the exponential, which takes ``_factored_rule``:
+    the FFT's error is relative to the largest sample), a closed-form
+    ``f^(n)``, ``n + 2`` continuous derivatives over the lattice and
+    finite values; a lattice over ``_LATTICE_CAP`` times the grid or the
+    mesh is declined too.
     """
     if nu.imag:
         return None
@@ -743,17 +799,10 @@ def _lattice_values(fe, nu: complex, x: np.ndarray, config: QuadratureConfig) ->
         return None
     x0, top = float(x[0]), float(x[-1])
     support = fe.support
-    if support is None:
-        if fe.shift_rate is not None:
-            return None
-        try:
-            span = _tail_span(fe, x)  # the batch's tail, as the graded path takes it
-        except NonConvergent:  # no cut: the graded path reports it
-            return None
-        cut = x0 - span
-    else:
-        cut = support[0]
-        span = min(top, support[1]) - cut
+    if support is None:  # the exponential, or an input the graded path reports
+        return None
+    cut = support[0]
+    span = min(top, support[1]) - cut
     if not span > 0:
         return None
     dx = (top - x0) / (x.size - 1)
@@ -780,8 +829,7 @@ def _lattice_values(fe, nu: complex, x: np.ndarray, config: QuadratureConfig) ->
         out[k0:] = conv[k0 * r - first :: r] * (h**mu * _rgamma(mu))
     if not np.all(np.isfinite(out)):
         return None
-    if support is not None:
-        out[x <= cut] = 0.0  # the input vanishes on (-inf, x]
+    out[x <= cut] = 0.0  # the input vanishes on (-inf, x]
     return out.astype(complex)
 
 

@@ -4,9 +4,10 @@ The quadrature, contour, and Fourier engines all consume the same small set
 of input shapes: a :class:`FunctionSpec` from the catalog, a
 :class:`SampledCurve` of uniform samples, or (mostly for composing checks) a
 bare callable wrapped in :class:`CallableFn`.  A FunctionSpec carries enough
-structure -- closed-form derivatives, support, left-tail truncation, the
-exponential's shift rate, analyticity -- for each engine to pick its exact
-code path and to bound its own truncation error instead of guessing.
+structure -- closed-form derivatives, support (for a gaussian, the interval
+outside which it is negligible), the exponential's shift rate, analyticity --
+for each engine to pick its exact code path and to bound its own truncation
+error instead of guessing.
 
 Catalog kinds and parameters:
 
@@ -50,9 +51,8 @@ __all__ = [
     "as_evaluable",
 ]
 
-#: Left-tail mass below the truncated base point is kept under ~1e-12 of the
-#: natural scale; these factors realize that bound for each decaying kind.
-_EXP_TAIL_FACTOR = 45.0
+#: Half-width of a gaussian's support in widths: the value at its ends is
+#: 2.6e-18 of the peak.
 _GAUSS_TAIL_SIGMAS = 9.0
 
 _SMOOTH = 10**9  # stand-in for "C-infinity" in smoothness queries
@@ -212,11 +212,21 @@ class FunctionSpec:
 
     @property
     def support(self) -> tuple[float, float] | None:
+        """``(lo, hi)`` outside which the engines take the input as zero, or None.
+
+        A step's and a bump's are exact.  A gaussian's is ``center +- 9 width``,
+        where its value is 2.6e-18 of the peak: the engines integrate it over
+        that interval alone, from any base, and read zero at or below ``lo``.
+        The exponential, a power and a polynomial have none.
+        """
         p = self.params
         if self.kind == "step":
             return (p["a"], p["b"])
         if self.kind == "bump":
             return (p["center"] - p["radius"], p["center"] + p["radius"])
+        if self.kind == "gaussian":
+            half = _GAUSS_TAIL_SIGMAS * p["width"]
+            return (p["center"] - half, p["center"] + half)
         return None
 
     @property
@@ -252,21 +262,6 @@ class FunctionSpec:
                 return True  # entire
             return c > margin  # branch point at the origin
         return True
-
-    def truncation_length(self, x: float) -> float:
-        """Base-point offset L so the tail below ``x - L`` is negligible.
-
-        Nondecreasing in ``x``, so the largest point of a batch sets the
-        cut for all of it.  Only the decaying kinds without a support have
-        one; the engines bound a step or a bump by its support instead.
-        """
-        k, p = self.kind, self.params
-        if k == "exponential":
-            return _EXP_TAIL_FACTOR / p["a"]
-        if k == "gaussian":
-            left = p["center"] - _GAUSS_TAIL_SIGMAS * p["width"]
-            return max(x - left, 2.0 * p["width"])
-        raise ValueError("input does not decay toward -inf; integral diverges")
 
     # -- serialization ------------------------------------------------------
 
@@ -489,14 +484,18 @@ class CallableFn:
     """Bare callable wrapped with just enough metadata for the engines.
 
     ``derivatives[m-1]`` (when given) evaluates the m-th derivative.  A
-    ``truncation`` length is required before the callable can be integrated
-    from ``-inf``.
+    ``support`` ``(lo, hi)``, outside which the engines take the callable as
+    zero, is required before it can be integrated from ``-inf``.
     """
 
     fn: Callable
     derivatives: tuple = ()
-    truncation: float | None = None
+    support: tuple[float, float] | None = None
     label_text: str = "callable"
+
+    def __post_init__(self):
+        if self.support is not None and not -np.inf < self.support[0] < self.support[1] < np.inf:
+            raise ValueError("support needs finite lo < hi")
 
     def value(self, y):
         return self.fn(np.asarray(y))
@@ -515,10 +514,6 @@ class CallableFn:
         return False
 
     @property
-    def support(self) -> None:
-        return None
-
-    @property
     def derivative_cap(self) -> int:
         return len(self.derivatives)
 
@@ -528,13 +523,6 @@ class CallableFn:
 
     def smooth_order_on(self, lo: float, hi: float) -> int:
         return _SMOOTH
-
-    def truncation_length(self, x: float) -> float:
-        """The explicit truncation length, the same for every ``x``."""
-        if self.truncation is None:
-            raise ValueError("callable input needs an explicit truncation length for c = -inf: "
-                             "wrap it as CallableFn(fn, truncation=L)")
-        return self.truncation
 
     def label(self) -> str:
         return self.label_text

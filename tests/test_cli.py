@@ -20,6 +20,7 @@ import weakref
 from pathlib import Path
 
 import click
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -189,6 +190,17 @@ class TestDifferint:
         err = capsys.readouterr().err
         assert err.startswith("NonConvergent: ") and "Warning" not in err
 
+    @pytest.mark.parametrize("at", ["9.5", "30"])
+    def test_order_beyond_float64_above_a_support_is_a_computation_error(self, capsys, at):
+        # Above a gaussian's support 1/Gamma(-200.5), beyond float64, scales the
+        # kernel moments: exit 1 with one line, not a warning and -inf+nanj.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["differint", "--func", "gaussian", "--nu", "200.5", "--c", "-inf", "--at", at]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("nu, base", [("170.5", "-3"), ("200.5", "-3"), ("300.5", "0.29")])
     def test_hankel_order_beyond_float64_is_a_computation_error(self, capsys, nu, base):
         # Gamma(nu + 1), the loop kernel or their product overflows: exit 1, not a NaN.
@@ -237,26 +249,53 @@ class TestDifferint:
         assert captured.out == ""
         assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("nu, at", [("0.5", "1e308"), ("-0.5", "1e308"), ("0.5", "1e300")])
-    def test_far_point_beyond_the_tail_moments_is_a_computation_error(self, capsys, nu, at):
-        # The kernel moments over a tail of 1e300 overflow: exit 1, not warnings and nan+nanj.
+    @pytest.mark.parametrize("base", ["-inf", "0"])
+    @pytest.mark.parametrize("nu, at", [("0.5", "1e308"), ("-0.5", "1e308"), ("0.5", "1e300"), ("-0.5", "1e6"),
+                                        ("-1.5", "1e308"), ("-2.5", "1e308")])
+    def test_far_point_prints_its_leading_term_or_one_error_line(self, capsys, base, nu, at):
+        # Far above a unit gaussian its D^nu is x^(-nu-1) sqrt(2 pi) / Gamma(-nu),
+        # half of that from base 0.  Where that value is beyond float64 the
+        # moments overflow with it: one NonConvergent line.  Never nan or a warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(["differint", "--func", "gaussian", "--c", "-inf", "--nu", nu, "--at", at]) == 1
+            code = run_cli(["differint", "--func", "gaussian", "--c", base, "--nu", nu, "--at", at])
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+        with mpmath.workdps(30):
+            lead = mpmath.mpf(at) ** (-float(nu) - 1) * mpmath.sqrt(2 * mpmath.pi) * mpmath.rgamma(-float(nu))
+            lead = float(lead / 2 if base == "0" else lead)
+        if math.isinf(lead):
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("NonConvergent: ") and captured.err.count("\n") == 1
+        else:
+            assert code == 0 and captured.err == ""
+            assert abs(float(captured.out) - lead) <= 1e-5 * abs(lead)
 
-    @pytest.mark.parametrize("method", ["quadrature", "caputo"])
-    def test_grid_order_beyond_the_inputs_derivatives_keeps_its_error(self, capsys, method):
-        # f^(201) of a gaussian is not finite far out: the graded path's NotSmoothEnough, quietly.
+    @pytest.mark.parametrize("method, error", [("quadrature", "NonConvergent"), ("caputo", "NotSmoothEnough")],
+                             ids=["quadrature", "caputo"])
+    def test_grid_order_beyond_the_inputs_derivatives_keeps_its_error(self, capsys, method, error):
+        # f^(301) of a gaussian is not finite on its support, so the lattice
+        # declines and the graded path reports it, quietly: the kernel
+        # (x - y)^(-301.5) overflows just above the support first, and the
+        # Caputo derivative evaluates f^(301) there.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(["differint", "--func", "gaussian", "--nu", "200.5", "--c", "-inf",
+            assert run_cli(["differint", "--func", "gaussian", "--nu", "300.5", "--c", "-inf",
                             "--method", method, "--grid"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("NotSmoothEnough: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{error}: ") and captured.err.count("\n") == 1
+
+    def test_grid_order_within_the_inputs_derivatives_matches_mpmath(self, capsys):
+        # Over its support f^(201) of a gaussian is finite, and the lattice
+        # follows the parabolic cylinder form, exp(-x^2/4) D_nu(-x), to 7.5e-7 of the peak.
+        assert run_cli(["differint", "--func", "gaussian", "--nu", "200.5", "--c", "-inf", "--grid"]) == 0
+        rows = np.array([line.split(",") for line in capsys.readouterr().out.splitlines()[1:]], dtype=float)
+        peak = np.max(np.abs(rows[:, 1]))
+        with mpmath.workdps(30):
+            for k in (1024, 1792, 2048, 2304, 3072):
+                z = mpmath.mpf(rows[k, 0])
+                want = float(mpmath.exp(-z * z / 4) * mpmath.pcfd(200.5, -z))
+                assert abs(rows[k, 1] - want) <= 1e-5 * peak
 
     @pytest.mark.parametrize("method, nu", [("quadrature", "-0.7"), ("quadrature", "1.3"), ("caputo", "0.4")])
     def test_grid_rows_agree_with_single_points(self, capsys, method, nu):

@@ -332,15 +332,20 @@ def test_caputo_equals_rl_for_infinite_base():
     assert cap == pytest.approx(rl, abs=1e-8)
 
 
-@pytest.mark.xfail(strict=True, reason="known fault: the graded mesh on [0, x] puts its first node near "
-                   "2.4e-7 * x, far past a unit-width gaussian, so far points come out wrong without a warning")
-def test_far_point_half_integral_of_a_gaussian_follows_its_asymptote():
-    # I^0.5 g(x) = x^-0.5 * int_0^inf g / Gamma(0.5) * (1 + O(1/x)) with int_0^inf g = sqrt(pi/2);
-    # at x = 1e6 the O(1/x) term is 4e-7 of the leading one.  The engine is 12% off there.
-    x = 1e6
-    lead = x**-0.5 * math.sqrt(math.pi / 2.0) / math.gamma(0.5)
-    got = differint(gaussian(0.0, 1.0), DifferintOrder(-0.5, 0.0), np.array([x]))
-    assert abs(got[0] - lead) <= 1e-4 * lead
+@pytest.mark.parametrize("nu", [-0.5, 0.5, 1.5])
+@pytest.mark.parametrize("c", [0.0, MINUS_INF])
+@pytest.mark.parametrize("x", [1e2, 1e4, 1e6, 1e8])
+def test_far_point_differintegral_of_a_gaussian_matches_mpmath(x, c, nu):
+    # Far above the support the kernel is smooth, so mpmath integrates
+    # (x - y)^(-nu-1) g(y) over [max(c, -12), 12] directly; beyond 12 the
+    # gaussian is below 1e-31.  The moments must not cancel as x grows.
+    got = differint(gaussian(0.0, 1.0), DifferintOrder(nu, c), np.array([x]))[0]
+    with mpmath.workdps(30):
+        xm = mpmath.mpf(x)
+        edges = [max(c, -12.0)] + [e for e in (-3.0, 0.0, 3.0) if e > c] + [12.0]
+        want = mpmath.quad(lambda y: (xm - y) ** (-nu - 1) * mpmath.exp(-y * y / 2), edges)
+        want = complex(want * mpmath.rgamma(-nu))
+    assert abs(got - want) <= 5e-6 * abs(want)
 
 
 class TestDomainErrors:
@@ -361,7 +366,7 @@ class TestDomainErrors:
             rl_integral(power(2), DifferintOrder(-0.5, MINUS_INF), 1.0)
 
     @pytest.mark.parametrize("f, reason", [
-        (lambda y: np.exp(-y * y), "wrap it as CallableFn(fn, truncation=L)"),
+        (lambda y: np.exp(-y * y), "wrap it as CallableFn(fn, support=(lo, hi))"),
         (power(0.5), "input does not decay toward -inf; integral diverges"),
     ], ids=["bare-callable", "power"])
     def test_tail_error_gives_the_input_s_reason(self, f, reason):
@@ -793,7 +798,7 @@ BLOCK_SITES = {
     "derivative-moving-base": (gaussian(0.3, 1.2), DifferintOrder(0.6, MINUS_INF), WIDE),
     "derivative-above-support": (bump(0.0, 1.0), DifferintOrder(0.45, MINUS_INF), HIGH),
     "derivative-moment": (gaussian(0.3, 1.2), DifferintOrder(1.3, -3.0), NEAR),
-    "stencil": (CallableFn(lambda y: np.exp(-0.5 * y * y), truncation=12.0),
+    "stencil": (CallableFn(lambda y: np.exp(-0.5 * y * y), support=(-12.0, 12.0)),
                 DifferintOrder(0.6, MINUS_INF), WIDE),
 }
 
@@ -816,20 +821,30 @@ class TestRowBlocks:
                 matrices.append(y.size)
             return np.exp(-0.5 * y * y)
 
-        f = CallableFn(value, truncation=12.0)
+        f = CallableFn(value, support=(-12.0, 12.0))
         rl_integral(f, DifferintOrder(-0.5, MINUS_INF), GRID_4096)
         assert len(matrices) > 1
         assert 16 * max(matrices) <= fracops._BLOCK_BYTES
 
     def test_nonfinite_in_last_block_raises(self, monkeypatch):
         # Only points above 2.9 reach the bad values, and they come last.
-        f = CallableFn(lambda y: np.where(y > 2.9, np.nan, np.exp(-y * y)), truncation=10.0)
+        f = CallableFn(lambda y: np.where(y > 2.9, np.nan, np.exp(-y * y)), support=(-10.0, 10.0))
         order = DifferintOrder(-0.5, MINUS_INF)
         monkeypatch.setattr(fracops, "_BLOCK_BYTES", 3 * 16 * 513)
         xs = np.linspace(-3.0, 3.0, 61)
         assert np.all(np.isfinite(rl_integral(f, order, xs[xs < 2.9], FAST)))
         with pytest.raises(NotSmoothEnough):
             rl_integral(f, order, xs, FAST)
+
+
+def test_stencil_step_is_not_set_by_a_point_at_the_support_start():
+    # From a smooth support start the stencil may reach below it, so a point
+    # just above the start leaves the step, and the other rows, as they are.
+    f = CallableFn(lambda y: np.exp(-0.5 * y * y), support=(-9.0, 9.0))
+    order = DifferintOrder(1.3, MINUS_INF)
+    alone = rl_derivative(f, order, np.array([0.0, 1.0]))
+    batch = rl_derivative(f, order, np.array([-9.0 + 1e-9, 0.0, 1.0]))
+    assert np.max(np.abs(batch[1:] - alone)) <= 1e-12 * np.max(np.abs(alone))
 
 
 class TestRealArithmetic:
@@ -878,6 +893,31 @@ class TestMixedSupport:
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
+def _within_the_multiplier(f, nu):
+    """``differint`` from -inf on the 4096-point box against the multiplier, relative to the interior peak."""
+    got = differint(f, DifferintOrder(nu, MINUS_INF), GRID_4096)
+    want = fourier_differint(SampledCurve(float(GRID_4096[0]), 40.0 / 4096, f.value(GRID_4096)), nu).values
+    inner = np.abs(GRID_4096) <= 10.0
+    return np.max(np.abs(got - want)[inner]) / np.max(np.abs(want[inner]))
+
+
+class TestNarrowInputs:
+    """The graded path places its mesh on the input's support, so its error does not grow as the input narrows."""
+
+    @pytest.mark.parametrize("nu", [0.3, 0.7, 1.3])
+    @pytest.mark.parametrize("width", [0.2, 0.5, 1.0, 2.0])
+    def test_gaussians_match_the_multiplier(self, width, nu):
+        assert _within_the_multiplier(gaussian(0.0, width), nu) <= 1e-5
+
+    @pytest.mark.parametrize("nu", [-1.3, -0.7, -0.3])
+    @pytest.mark.parametrize("width", [0.2, 0.5, 1.0, 2.0])
+    def test_zero_mean_pairs_match_the_multiplier(self, width, nu):
+        # g(x + w) - g(x - w) has zero mean, so the multiplier takes negative orders too.
+        g = gaussian(0.0, width)
+        pair = CallableFn(lambda y: g.value(y + width) - g.value(y - width), support=(-10 * width, 10 * width))
+        assert _within_the_multiplier(pair, nu) <= 1e-5
+
+
 FACTORED_ENGINES = {"integral": rl_integral, "derivative": rl_derivative, "caputo": caputo_derivative}
 
 
@@ -895,7 +935,7 @@ def _node_matrix_sum(f, nu, x):
     def values(z):
         return f.derivative_values(z, n)
 
-    t, w = fracops._tail_rule(values, mu, xs, f.truncation_length(float(np.max(xs))),
+    t, w = fracops._tail_rule(values, mu, xs, fracops._EXP_TAIL_FACTOR / f.shift_rate,
                               config.subintervals, config.grading)
     return (values(xs[:, None] - t) @ w) * fracops._rgamma(mu)
 
@@ -923,7 +963,8 @@ class TestFactoredTail:
         def no_matrix(*args):
             raise AssertionError("a (points x nodes) matrix was formed")
 
-        monkeypatch.setattr(fracops, "_translated_rule", no_matrix)
+        for name in ("_derivative_moment_path", "_shifted_rule", "_stencil_path"):
+            monkeypatch.setattr(fracops, name, no_matrix)
         f = _Counting(exponential(1.3))
         got = FACTORED_ENGINES[engine](f, DifferintOrder(nu, MINUS_INF), GRID_4096)
         assert np.all(np.isfinite(got))
@@ -931,18 +972,6 @@ class TestFactoredTail:
         # mesh: 8 batch quantiles x 8192 probe points, each a 1-D array.
         assert f.ndims == {1}
         assert f.points == GRID_4096.size + 8 * 8192
-
-    def test_other_inputs_keep_the_node_matrix(self, monkeypatch):
-        rows = []
-        translated = fracops._translated_rule
-
-        def counted(values_fn, x, t, w, what):
-            rows.append(x.size)
-            return translated(values_fn, x, t, w, what)
-
-        monkeypatch.setattr(fracops, "_translated_rule", counted)
-        rl_integral(gaussian(0.3, 1.2), DifferintOrder(-0.7, MINUS_INF), WIDE, FAST)
-        assert rows == [WIDE.size]
 
     @pytest.mark.parametrize("engine, rate, nu, x", [
         ("integral", 1.0, -0.5, 709.5),
@@ -1006,7 +1035,7 @@ PIN_INPUTS = {
     "step": step(0.0, 1.0),
     "sampled": SampledCurve(-1.0, 0.25, np.cos(np.linspace(-1.0, 2.0, 13))),
     "callable": CallableFn(lambda y: np.exp(-y * y), derivatives=(lambda y: -2.0 * y * np.exp(-y * y),),
-                           truncation=8.0),
+                           support=(-8.0, 8.0)),
 }
 PIN_ENGINES = (
     (rl_integral, (-0.5, -1.0, -1.2, -0.7 + 0.4j)),
@@ -1019,11 +1048,11 @@ PIN_DIGESTS = {
     "power-half": "62714b1b4c5da29b26895ee10354f3be3486477076a439efb7abe7e1d79ab083",
     "power-complex": "d2bd18d7005827d0500cb8c2bbf242d3ae4b1ecb20adf0cc884d69514d248d40",
     "polynomial": "649606440e05904fab7c427bdb3ea8e596b9b7bcc7ab5b1b11702295f6ba5699",
-    "gaussian": "f8979a857dc9511fb39c41e81025af603704abd93c06b924b3d5f06a80a49fa5",
-    "bump": "57812caca7d69d0ac3373a282e8291e6c7fc8e08f567bc7ba7c38d1a53a0e624",
+    "gaussian": "52f2b43a34e0f7143cd258762c1f0088af21e3c7ce2851fa8f4ab6a306a5da45",
+    "bump": "2f36772f6f50974bb20a79b788e3e8d2d0d8a5fb1d66ceb08e00fe3ef27a1a9e",
     "step": "35e8c3635ac1e67dd40df1862b79985c0679578618a0b8b2ce2fea40227ba0a8",
     "sampled": "d9d2c0aac873dd80c7f43eecee383eeab177b8b343c045a71ffdde470535a4df",
-    "callable": "d850dfed5c2b8ccc87ce0e6dc5a5d5bec94d35a18afa72736091f36fb015b72a",
+    "callable": "1c4bddf2770ca1015e8bf8367d10ce0545509382cbb3411659954244fb39b95f",
 }
 
 
@@ -1128,18 +1157,15 @@ class TestLatticeRule:
         def no_matrix(*args):
             raise AssertionError("the graded path ran")
 
-        for name in ("_tail_rule", "_translated_rule", "_shifted_rule", "_derivative_moment_path"):
+        for name in ("_tail_rule", "_shifted_rule", "_derivative_moment_path"):
             monkeypatch.setattr(fracops, name, no_matrix)
         counted = _Counting(f)
         got = self._curve(counted, nu)
         assert np.all(np.isfinite(got))
         assert counted.ndims == {1}
-        # The lattice runs from the cut (one step below) to one step above the last point.
-        x0, top, dx = GRID_4096[0], GRID_4096[-1], 40.0 / 4096
-        if f.support is None:
-            cut, span = x0 - f.truncation_length(top), f.truncation_length(top)
-        else:
-            cut, span = f.support[0], f.support[1] - f.support[0]
+        # The lattice runs from the support start (one step below) to one step above the last point.
+        top, dx = GRID_4096[-1], 40.0 / 4096
+        cut, span = f.support[0], f.support[1] - f.support[0]
         h = dx / math.ceil(dx * fracops.DEFAULT_QUADRATURE.subintervals / span)
         assert counted.points <= (top - cut) / h + 4
 
@@ -1169,7 +1195,7 @@ class TestLatticeRule:
         (gaussian(0.3, 1.2), 0.5 + 0.2j, MINUS_INF),
         (gaussian(0.3, 1.2), 0.5, -30.0),
         (bump(0.0, 1.0), 0.5, -30.0),
-        (CallableFn(lambda y: np.exp(-y * y), truncation=8.0), 0.5, MINUS_INF),  # no derivative: the stencil
+        (CallableFn(lambda y: np.exp(-y * y), support=(-8.0, 8.0)), 0.5, MINUS_INF),  # no derivative: the stencil
     ], ids=["exp", "exp-integral", "step", "step-wide", "sampled", "complex", "finite-gaussian",
             "finite-bump", "callable-stencil"])
     def test_other_inputs_keep_their_path(self, f, nu, c):
@@ -1178,12 +1204,12 @@ class TestLatticeRule:
         got = fracops._on_lattice(differint, f, order, GRID_4096[::16], config)
         assert np.array_equal(got, differint(f, order, GRID_4096[::16], config))
 
-    def test_callable_with_a_truncation_takes_it(self):
+    def test_callable_with_a_support_takes_it(self):
         f = CallableFn(lambda y: np.exp(-0.5 * y * y), derivatives=(lambda y: -y * np.exp(-0.5 * y * y),),
-                       truncation=29.0)
+                       support=(-9.0, 9.0))
         got = self._curve(f, 0.6)
         want = self._curve(gaussian(0.0, 1.0), 0.6)
-        # The unit gaussian's own cut is 29 below the last point too: the same lattice.
+        # The unit gaussian's support is (-9, 9) too: the same lattice.
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_caputo_below_zero_is_still_the_wrong_sign(self):

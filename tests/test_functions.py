@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 from fracpde import (
     CATALOG_NAMES,
     CallableFn,
+    DifferintOrder,
     FunctionSpec,
+    NonConvergent,
     NotSmoothEnough,
     SampledCurve,
     UnknownCatalogEntry,
@@ -21,8 +23,10 @@ from fracpde import (
     gaussian,
     polynomial,
     power,
+    rl_integral,
     step,
 )
+from fracpde import fracops
 
 
 def central_diff(f, y, m, h=1e-5):
@@ -99,7 +103,18 @@ class TestMetadata:
     def test_supports(self):
         assert step(-1, 2).support == (-1, 2)
         assert bump(1, 0.5).support == (0.5, 1.5)
-        assert gaussian().support is None
+        assert gaussian(1.0, 0.5).support == (-3.5, 5.5)
+        for f in (exponential(2), power(1), polynomial([1.0, 2.0])):
+            assert f.support is None
+
+    def test_truncation_lengths(self):
+        # From -inf a gaussian is cut 9 widths below its centre, where it is
+        # 2.6e-18 of its peak, and an exponential e^(a y) 45/a below each point.
+        g = gaussian(1.0, 0.5)
+        assert g.support[0] == 1.0 - 9 * 0.5
+        assert np.all(g.value(np.array(g.support)) <= 2.6e-18)
+        assert fracops._EXP_TAIL_FACTOR / exponential(2).shift_rate == pytest.approx(22.5)
+        assert power(1).shift_rate is None and polynomial([1.0, 2.0]).shift_rate is None
 
     def test_step_smoothness(self):
         s = step(-1, 1)
@@ -112,23 +127,6 @@ class TestMetadata:
         assert not step().analytic
         assert power(0.5).analytic_near(1.0, 2.0, margin=0.1)
         assert not power(0.5).analytic_near(0.0, 1.0, margin=0.1)
-
-    def test_truncation_lengths(self):
-        assert exponential(2).truncation_length(0.0) == pytest.approx(22.5)
-        assert gaussian(0, 1).truncation_length(5.0) >= 14.0
-        with pytest.raises(ValueError):
-            power(1).truncation_length(0.0)
-        with pytest.raises(ValueError):
-            polynomial([1.0, 2.0]).truncation_length(0.0)
-
-    @pytest.mark.parametrize("f", [
-        exponential(0.7), gaussian(1.0, 1.5), CallableFn(np.tanh, truncation=8.0),
-    ], ids=["exponential", "gaussian", "callable"])
-    def test_truncation_length_is_nondecreasing(self, f):
-        # The engines take one batch's tail cut from its largest point.
-        xs = np.linspace(-30.0, 30.0, 601)
-        cuts = np.array([f.truncation_length(float(x)) for x in xs])
-        assert np.all(np.diff(cuts) >= 0)
 
 
 class TestValidation:
@@ -202,6 +200,14 @@ class TestCallableFn:
             f.derivative_values(0.0, 2)
 
     def test_truncation_required_for_infinite_base(self):
-        f = CallableFn(np.tanh)
-        with pytest.raises(ValueError):
-            f.truncation_length(0.0)
+        # From -inf a callable is integrated over the support it declares, and needs one.
+        with pytest.raises(NonConvergent, match=r"wrap it as CallableFn\(fn, support=\(lo, hi\)\)"):
+            rl_integral(CallableFn(np.tanh), DifferintOrder(-0.5, -math.inf), 0.0)
+        f = CallableFn(np.tanh, support=(-8, 8))
+        assert f.support == (-8.0, 8.0)
+        assert np.isfinite(rl_integral(f, DifferintOrder(-0.5, -math.inf), 0.0))
+
+    @pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, -2.0), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_support_needs_finite_increasing_ends(self, support):
+        with pytest.raises(ValueError, match="support needs finite lo < hi"):
+            CallableFn(np.tanh, support=support)

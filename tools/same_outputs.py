@@ -7,7 +7,8 @@ worktree is registered, so an interrupted run leaves nothing behind in the
 repository).  Each command of ``COMMANDS`` runs as ``python -m fracpde`` with
 that tree's ``src`` on ``PYTHONPATH``, in one output directory per tree.
 Its stdout is kept as ``<name>.out`` next to the files it writes: the
-``differint --grid`` CSVs of every kind and method, ``identity_report.json``,
+``differint --grid`` CSVs of every kind and method, single points (among
+them a gaussian far above its support and a narrow one), ``identity_report.json``,
 the experiment CSV and its band files, the 2-D m=2048 and 3-D m=128
 ``solve`` fields and JSON, and ``sobolev --field`` with and without ``--s``.
 The paths of the output directory and of the tree are masked wherever
@@ -53,6 +54,7 @@ GAUSS = '{"kind": "gaussian", "center": 0.3, "width": 1.2}'
 BUMP = '{"kind": "bump", "center": 0.1, "radius": 2.0}'
 STEP = '{"kind": "step", "a": -1.0, "b": 1.5}'
 EXP = '{"kind": "exponential", "a": 1.3}'
+NARROW = '{"kind": "gaussian", "center": 0.0, "width": 0.2}'
 
 #: ``(stdout file name, argv after the output directory option)``, run in this order.
 COMMANDS: list[tuple[str, list[str]]] = [
@@ -73,6 +75,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("differint-at-gaussian.out", ["differint", "--func", GAUSS, "--nu", "0.5", "--c", "-inf", "--at", "0.3"]),
     ("differint-at-hankel.out", ["differint", "--func", GAUSS, "--nu", "0.5", "--c", "-3", "--method", "hankel",
                                  "--at", "0.3"]),
+    ("differint-at-far-1e6.out", ["differint", "--func", "gaussian", "--nu", "-0.5", "--c", "0", "--at", "1e6"]),
+    ("differint-at-far-1e308.out", ["differint", "--func", "gaussian", "--nu", "-0.5", "--c", "0", "--at", "1e308"]),
+    ("differint-at-narrow-gaussian.out", ["differint", "--func", NARROW, "--nu", "0.5", "--c", "-inf", "--at", "0.1"]),
     ("verify.out", ["verify"]),
     ("experiment.out", ["experiment", "regularity"]),
     ("solve-2d.out", ["-n", "2", "-m", "2048", "-L", "40", "solve", "--op", FRAC_LAP_2D, "--forcing", STEP,
