@@ -124,18 +124,18 @@ _EXP_TAIL_FACTOR = 45.0
 
 
 # Gamma and 1/Gamma of a real argument come from ``math.gamma`` (within
-# about 1e-15 relative of the true values), so no command that needs only
-# real Gamma values imports scipy.special (about 0.3 s).  Its domain and
-# range errors map to the limits: Gamma is NaN at the poles and at -inf and
-# a signed inf at +-0 and on overflow.  A complex argument off the real axis
-# takes scipy's complex Gamma, loaded at its first use.
+# about 1e-15 relative of the true values).  Its domain and range errors
+# map to the limits: Gamma is NaN at the poles and at -inf and a signed inf
+# at +-0 and on overflow.  A complex argument off the real axis takes
+# ``exp(+-_log_gamma(z))``, within 3e-14 relative of mpmath on Re z in
+# [-12, 12], Im z in [-5, 5] and 1e-6 from the poles; formed in logs, 1/Gamma
+# of a large argument never passes through an overflowing Gamma, and a value
+# beyond float64 comes back as a complex infinity, not an exception.
 def _gamma(z):
     """Gamma(z): a float for a real ``z`` (a float, or a complex with zero imaginary part)."""
     z = complex(z)
     if z.imag:
-        from scipy.special import gamma
-
-        return gamma(z)
+        return _exp(_log_gamma(z))
     x = z.real
     try:
         return math.gamma(x)
@@ -149,9 +149,7 @@ def _rgamma(z):
     """1/Gamma(z): a float for a real ``z`` (a float, or a complex with zero imaginary part)."""
     z = complex(z)
     if z.imag:
-        from scipy.special import rgamma
-
-        return rgamma(z)
+        return _exp(-_log_gamma(z))
     x = z.real
     try:
         g = math.gamma(x)
@@ -160,6 +158,30 @@ def _rgamma(z):
         # -inf and above the overflow point it is 0.
         return x if abs(x) < 1.0 else 0.0
     return 1.0 / g if g else math.copysign(math.inf, g)
+
+
+# Lanczos' coefficients for g = 7 (Lanczos, SIAM J. Numer. Anal. Ser. B 1, 1964).
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313, -176.61502916214059,
+            12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def _log_gamma(z: complex) -> complex:
+    """A branch of log Gamma(z) for a complex ``z``: Lanczos' series, and reflection for ``Re z < 1/2``."""
+    if z.real < 0.5:
+        # sin(pi z) = (-1)^n sin(pi (z - n)) keeps full accuracy next to the pole at n.  Beyond
+        # |Im z| = 20, |sin| grows as exp(pi |Im z|) to rounding, so sin is taken at Im z = +-20.
+        n, y = round(z.real), max(-20.0, min(20.0, z.imag))
+        log_sin = cmath.log(cmath.sin(math.pi * complex(z.real - n, y))) + math.pi * (abs(z.imag) - abs(y))
+        return math.log(math.pi) - log_sin - 1j * math.pi * n - _log_gamma(1.0 - z)
+    z -= 1.0
+    t = z + 7.5
+    series = _LANCZOS[0] + sum(c / (z + k) for k, c in enumerate(_LANCZOS[1:], 1))
+    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(series)
+
+
+def _exp(w: complex) -> complex:
+    """``cmath.exp(w)``, or an infinity in its direction where that overflows float64."""
+    return cmath.exp(w) if w.real < _LOG_FLOAT_MAX else math.inf * cmath.exp(1j * w.imag)
 
 
 #: Terms of the Hurwitz zeta summed directly; the rest is the Euler-Maclaurin tail.
@@ -978,7 +1000,7 @@ def _image_scale(nu: complex | float, dx: float, big: int) -> complex | float:
     log_size = -nu * math.log(big * dx) - math.log(big)
     try:
         if nu.imag:
-            return _rgamma(-nu) * cmath.exp(log_size)
+            return cmath.exp(log_size - _log_gamma(-nu))
         sign = 1.0 if nu.real < 0 else (-1.0) ** math.ceil(nu.real)  # the sign of Gamma(-nu)
         return sign * math.exp(log_size.real - math.lgamma(-nu.real))
     except OverflowError:

@@ -303,11 +303,11 @@ def _check_osler_product(config: VerifyConfig) -> tuple:
 def _check_schwartz_conv(config: VerifyConfig) -> tuple:
     # D_+^nu (f * g) commutes onto either factor; one side differentiates f
     # by quadrature, the other differentiates g by multiplier.  The
-    # convolutions are linear (zero-padded), not periodic: the derivative
-    # tails decay only algebraically, and wrapping them around the box
-    # would swamp the tolerance, while in the interior the gaussian factor
-    # annihilates whatever the truncation discards.  The multiplier's pad
-    # of 1024 no longer buys accuracy, since the engine subtracts its
+    # convolutions are numpy's linear (zero-padded) ones, not periodic: the
+    # derivative tails decay only algebraically, and wrapping them around the
+    # box would swamp the tolerance, while in the interior the gaussian
+    # factor annihilates whatever the truncation discards.  The multiplier's
+    # pad of 1024 no longer buys accuracy, since the engine subtracts its
     # wrapped tail at every pad; it stays only until the verify benchmark's
     # round count stops hinging on this check's time (ROADMAP direction 1).
     grid = BoxGrid(1, config.grid_m // 2, config.grid_length)
@@ -318,15 +318,13 @@ def _check_schwartz_conv(config: VerifyConfig) -> tuple:
     curve = SampledCurve(float(xs[0]), grid.dx, g_vals)
     interior = np.abs(xs) <= grid.length / 4.0
     quad = _refined(config.quadrature)
-    # scipy.signal costs about half a second to import and serves only here.
-    from scipy.signal import fftconvolve
 
     errs = []
     for nu in (0.4, 0.5, 1.5):
         df = rl_derivative(f, DifferintOrder(nu, -math.inf), xs, config=quad)
         dg = fourier_differint(curve, nu, pad_factor=1024).values
-        side_a = fftconvolve(df, g_vals, mode="same") * grid.dx
-        side_b = fftconvolve(f_vals, dg, mode="same") * grid.dx
+        side_a = np.convolve(df, g_vals, "same") * grid.dx
+        side_b = np.convolve(f_vals, dg, "same") * grid.dx
         errs.append(np.abs(side_a - side_b)[interior])
     return np.concatenate(errs), dict(orders=[0.4, 0.5, 1.5], grid_m=grid.m, grid_length=grid.length)
 

@@ -55,12 +55,12 @@ def runner():
     return CliRunner()
 
 
-def _module_loaded_after(code: str, module: str, cwd=None) -> bool:
-    """Whether a fresh interpreter has loaded ``module`` after importing the CLI and running ``code``."""
+def _module_loaded_after(code: str, module: str, cwd=None, prelude: str = "") -> bool:
+    """Whether a fresh interpreter has loaded ``module`` after ``prelude``, importing the CLI and running ``code``."""
     # The child interpreter finds the package where this process did.
     src = str(Path(fracpde.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    script = f"import sys, fracpde.cli\n{code}\nprint({module!r} in sys.modules)"
+    script = f"{prelude}\nimport sys, fracpde.cli\n{code}\nprint({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                           cwd=cwd, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
@@ -755,6 +755,24 @@ class TestTopLevel:
     def test_import_leaves_scipy_module_out(self, module):
         assert not _module_loaded_after("", module)
 
+    # A finder ahead of all others refuses every scipy module and records
+    # the attempt, so an import that a caller catches still fails the test.
+    REFUSE_SCIPY = """
+import importlib.abc, sys
+refused = []
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            refused.append(name)
+            raise ImportError(f"{name} is refused")
+sys.meta_path.insert(0, Refuse())
+"""
+
+    def _loads_no_scipy(self, code, cwd=None):
+        """Whether ``code`` runs with every scipy import refused and none attempted."""
+        code = f"from fracpde.cli import run_cli\n{code}\nassert not refused, refused"
+        return not _module_loaded_after(code, "scipy", cwd, prelude=self.REFUSE_SCIPY)
+
     @pytest.mark.parametrize(
         "commands",
         [
@@ -768,13 +786,12 @@ class TestTopLevel:
         ids=["solve-sobolev", "symbol", "experiment", "differint"],
     )
     def test_scipy_special_loads_at_the_first_gamma_value(self, tmp_path, commands):
-        """Only a Gamma value off the real axis loads scipy.special, and no command asks for one."""
+        """Neither the command nor the first Gamma value off the real axis after it loads scipy."""
         code = "".join(f"assert run_cli({argv!r}) == 0\n" for argv in commands)
-        assert not _module_loaded_after(f"from fracpde.cli import run_cli\n{code}", "scipy.special", tmp_path)
+        assert self._loads_no_scipy(f"{code}from fracpde import fracops\nfracops._gamma(0.5 + 0.2j)", tmp_path)
 
     def test_real_order_commands_load_no_scipy_module(self, tmp_path):
-        # Every differint method at one point and on the grid, and every
-        # identity check but schwartz_conv (whose fftconvolve is scipy.signal).
+        # Every differint method at one point and on the grid, and every identity check.
         gauss = ["differint", "--func", "gaussian", "--nu", "0.5"]
         commands = [
             *([*gauss, "--c", base, "--method", method, *where]
@@ -782,19 +799,30 @@ class TestTopLevel:
               for where in (["--at", "0.3"], ["--grid"])),
             [*gauss, "--c", "-3", "--method", "hankel", "--at", "0.3"],
             ["differint", "--func", "power", "--nu", "0.5", "--at", "1"],
-            *(["verify", "--only", check] for check in CANONICAL_CHECK_IDS if check != "schwartz_conv"),
+            *(["verify", "--only", check] for check in CANONICAL_CHECK_IDS),
         ]
-        code = "".join(
-            f"assert run_cli({argv!r}) == 0\n"
-            f"assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], {argv!r}\n"
-            for argv in commands
-        )
-        assert not _module_loaded_after(f"from fracpde.cli import run_cli\n{code}", "scipy", tmp_path)
+        assert self._loads_no_scipy("\n".join(f"assert run_cli({argv!r}) == 0, {argv!r}" for argv in commands),
+                                    tmp_path)
 
-    def test_gamma_off_the_real_axis_loads_scipy_special(self):
-        code = ("from fracpde import DifferintOrder, power, rl_derivative\n"
-                "rl_derivative(power(1.0), DifferintOrder(0.5 + 0.2j), 1.0)")
-        assert _module_loaded_after(code, "scipy.special")
+    def test_complex_order_engines_load_no_scipy_module(self):
+        curve = "SampledCurve(-10.0, 0.3125, np.exp(-(0.3125 * np.arange(64) - 10.0) ** 2))"
+        engines = [
+            "rl_integral(power(1.0), DifferintOrder(-0.5 + 0.2j, 0.0), 1.0)",
+            "rl_derivative(gaussian(0.0, 1.0), DifferintOrder(0.5 + 0.2j, -math.inf), 0.3)",
+            "caputo_derivative(power(2.0), DifferintOrder(0.5 + 0.2j, 0.0), 1.0)",
+            "hankel_differintegral(gaussian(0.0, 1.0), DifferintOrder(0.5 + 0.2j, -3.0), 0.3)",
+            f"fourier_differint({curve}, 0.5 + 0.2j).values",
+            "closed_form_oracle(power(1.0), DifferintOrder(0.5 + 0.2j, 0.0), 1.0)",
+        ]
+        code = "\n".join([
+            "import math",
+            "import numpy as np",
+            "from fracpde.fracops import (DifferintOrder, caputo_derivative, closed_form_oracle, fourier_differint,",
+            "                             hankel_differintegral, rl_derivative, rl_integral)",
+            "from fracpde.functions import SampledCurve, gaussian, power",
+            *(f"assert np.all(np.isfinite({call})), {call!r}" for call in engines),
+        ])
+        assert self._loads_no_scipy(code)
 
     HALF_AT_ONE = ["differint", "--func", "power", "--nu", "0.5", "--at", "1"]
 
