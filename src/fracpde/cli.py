@@ -148,8 +148,6 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
 @click.option("--grid-dim", "-n", default=_DEFAULTS.grid_dim, show_default=True, help="Grid dimension.")
 @click.option("--subintervals", "-N", default=_DEFAULTS.verify.quadrature.subintervals, show_default=True,
               help="Quadrature subintervals.")
-@click.option("--grading", default=_DEFAULTS.verify.quadrature.grading, show_default=True,
-              help="Quadrature mesh grading.")
 @click.option("--cutoff-radius", "-R", type=float, default=None,
               help=f"Parametrix cutoff radius (default: bound scan for solve, "
                    f"{_DEFAULTS.verify.cutoff_radius:g} for verify and experiment).")
@@ -161,7 +159,7 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
               envvar="FRACPDE_OUTDIR", show_default=True,
               help="Output directory (env: FRACPDE_OUTDIR).")
 @click.pass_context
-def main(ctx, grid_m, grid_length, grid_dim, subintervals, grading, cutoff_radius,
+def main(ctx, grid_m, grid_length, grid_dim, subintervals, cutoff_radius,
          gain_tolerance_1d, gain_tolerance_2d, outdir):
     """Fractional differintegrals, elliptic symbols, solves, and estimates."""
     radius = {} if cutoff_radius is None else {"cutoff_radius": cutoff_radius}
@@ -169,7 +167,7 @@ def main(ctx, grid_m, grid_length, grid_dim, subintervals, grading, cutoff_radiu
         verify = VerifyConfig(
             grid_m=grid_m,
             grid_length=grid_length,
-            quadrature=QuadratureConfig(subintervals, grading),
+            quadrature=QuadratureConfig(subintervals),
             gain_tolerance_1d=gain_tolerance_1d,
             gain_tolerance_2d=gain_tolerance_2d,
             **radius,

@@ -28,7 +28,7 @@ other:
     ``hi`` see a smooth kernel and take the continued formula for ``D^nu``
     directly, on a mesh placed on the support so the input is evaluated
     once for all of them; a batch straddling the support end is split
-    between the two.  Only inputs
+    between the two.  The meshes are graded as ``u^2``.  Only inputs
     without usable closed-form derivatives on ``[base, x]`` fall back to
     central finite differences of the integral.
     The (points x nodes) integrand matrices are built and reduced in row
@@ -39,8 +39,12 @@ other:
     there, and so are its derivatives; the input names ``a`` as
     ``shift_rate``).  Its tail mesh is rigid in ``t = x - y`` and cut at
     ``45/a``, and it forms no matrix: every row is ``f(x_i)`` times the same
-    ``exp(-a*t_j)``, so one quadrature sum over the same mesh and weights,
-    scaled by the values at the points, gives every point.
+    ``exp(-a*t_j)``.  In units of ``45/a`` that mesh and its weights depend
+    only on ``subintervals`` and the order, so one cached rule and one
+    quadrature sum, scaled by the values at the points, give every point,
+    and a point's value does not depend on the rest of the batch.  The cut
+    drops the share ``Q(-nu, 45)`` of the integral, so an order below -17.5
+    raises ``NonConvergent``.
 ``caputo_derivative``
     integral of order ``nu - n`` applied to the ``n``-th derivative.
 ``hankel_differintegral``
@@ -121,6 +125,12 @@ _EDGE_TOL = 1e-8
 # From a base at -inf an exponential ``e^(a*y)`` is integrated over ``45/a``
 # below each point, where it has fallen to ``e^-45`` (2.9e-20) of its value.
 _EXP_TAIL_FACTOR = 45.0
+
+# The cut drops the share Q(mu, 45) (the regularized upper incomplete Gamma)
+# of the value at kernel order ``mu``; it passes 1e-6 at mu = 17.517
+# (mpmath), so higher kernel orders (integrals below order -17.5) raise
+# ``NonConvergent``.
+_TAIL_ORDER_MAX = 17.5
 
 
 # Gamma and 1/Gamma of a real argument come from ``math.gamma`` (within
@@ -264,23 +274,20 @@ class DifferintOrder:
 class QuadratureConfig:
     """Product-integration controls.
 
-    ``subintervals`` linear pieces on a mesh graded with exponent
-    ``grading`` toward both ends of the integration range (``grading = 1``
-    is uniform; larger values cluster nodes at the kernel singularity
-    ``y -> x`` and at the base point).  The cut of a base at ``-inf`` is
-    not a setting: an input is integrated over its support (a gaussian's
-    is ``center +- 9 width``), and the exponential over ``45/a`` below each
-    point.
+    ``subintervals`` linear pieces on each mesh.  The mesh shapes are not
+    settings: the product-integration meshes are graded as ``u^2`` toward
+    both ends of the integration range (the kernel singularity ``y -> x``
+    and the base point), and the exponential's tail equidistributes its own
+    integrand.  Nor is the cut of a base at ``-inf``: an input is
+    integrated over its support (a gaussian's is ``center +- 9 width``),
+    and the exponential over ``45/a`` below each point.
     """
 
     subintervals: int = 2048
-    grading: float = 2.0
 
     def __post_init__(self):
         if self.subintervals < 2:
             raise ValueError("need at least 2 subintervals")
-        if not self.grading >= 1.0:
-            raise ValueError("grading exponent must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -294,6 +301,9 @@ _BLOCK_BYTES = 2**18
 
 #: Entries kept by each of the mesh and unit-weight caches.
 _CACHE_ENTRIES = 16
+
+#: Exponent of the graded meshes: ``u^2`` toward each graded end.
+_GRADING = 2.0
 
 
 def _row_blocks(rows: int, nodes: int):
@@ -310,15 +320,15 @@ def _real_if_real(mu: complex) -> complex | float:
 
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
-def _graded_mesh(n_sub: int, grading: float, one_sided: bool = False) -> np.ndarray:
+def _graded_mesh(n_sub: int, one_sided: bool = False) -> np.ndarray:
     """Graded nodes on [0, 1], read-only; n_sub is rounded up to even.
 
-    Two-sided by default; ``one_sided`` grades toward 0 alone, as ``u^grading``.
+    Two-sided by default; ``one_sided`` grades toward 0 alone, as ``u^_GRADING``.
     """
     n_sub += n_sub % 2
     u = np.arange(n_sub + 1) / n_sub
-    tau = u**grading if one_sided else np.where(u <= 0.5, 0.5 * (2 * u) ** grading,
-                                                 1.0 - 0.5 * (2 * (1 - u)) ** grading)
+    tau = u**_GRADING if one_sided else np.where(u <= 0.5, 0.5 * (2 * u) ** _GRADING,
+                                                  1.0 - 0.5 * (2 * (1 - u)) ** _GRADING)
     tau[0], tau[-1] = 0.0, 1.0
     tau.flags.writeable = False
     return tau
@@ -355,49 +365,42 @@ def _node_weights(t: np.ndarray, mu: complex) -> np.ndarray:
     return w
 
 
-def _unit_weights(n_sub: int, grading: float, mu: complex, one_sided: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _unit_weights(n_sub: int, mu: complex, one_sided: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Read-only graded mesh on [0, 1] and its weights for kernel order ``mu``."""
-    return _graded_mesh(n_sub, grading, one_sided), _mesh_weights(n_sub, grading, _real_if_real(mu), one_sided)
+    return _graded_mesh(n_sub, one_sided), _mesh_weights(n_sub, _real_if_real(mu), one_sided)
 
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
-def _mesh_weights(n_sub: int, grading: float, mu: complex | float, one_sided: bool) -> np.ndarray:
-    w = _node_weights(_graded_mesh(n_sub, grading, one_sided), mu)
+def _mesh_weights(n_sub: int, mu: complex | float, one_sided: bool) -> np.ndarray:
+    w = _node_weights(_graded_mesh(n_sub, one_sided), mu)
     w.flags.writeable = False
     return w
 
 
-def _tail_rule(values_fn, mu: complex, x: np.ndarray, span: float, n_sub: int,
-               grading: float) -> tuple[np.ndarray, np.ndarray]:
-    """Product-integration rule on t in [0, span] for the tail integral.
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
+def _tail_weights(n_sub: int, mu: complex | float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rule on ``tau`` in [0, 1] for the exponential's tail in units of its span, and its weights.
 
-    Nodes equidistribute the cube root of kernel * |integrand| (the density
-    that minimizes the piecewise-linear interpolation error), probed on the
-    batch envelope of the integrand.  The kernel exponent drives the
-    grading at t = 0 automatically.
+    In ``tau = a*t/45`` the integrand of the tail is ``tau^(mu-1) *
+    exp(-45*tau)`` times constants, whatever the rate, the points and the
+    batch.  The nodes equidistribute the cube root of that density (which
+    minimizes the piecewise-linear interpolation error; de Boor, 1973),
+    integrated on 8192 probe points clustered at 0, so the kernel exponent
+    grades the mesh at ``tau = 0``.  On ``t`` in ``[0, span]`` the rule is
+    these nodes times ``span`` and these weights times ``span^mu``.
     """
     m_fine = 8192
-    probe = span * (np.arange(1, m_fine + 1) / m_fine) ** 3
-    refs = np.quantile(x, np.linspace(0.0, 1.0, min(x.size, 8)))
-    env = np.zeros(m_fine)
-    for r in refs:
-        env = np.maximum(env, np.abs(np.asarray(values_fn(r - probe))))
-    top = env.max()
-    env = env / top + 1e-9 if top > 0 else np.ones(m_fine)
-
+    probe = (np.arange(1, m_fine + 1) / m_fine) ** 3
     e = (mu.real - 1.0) / 3.0
-    dens = probe**e * np.cbrt(env)
+    dens = probe**e * np.exp(-_EXP_TAIL_FACTOR / 3.0 * probe)
     head = dens[0] * probe[0] / (e + 1.0)
     cdf = np.concatenate(([0.0], head + np.concatenate(
         ([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(probe))))))
-    t_ref = np.concatenate(([0.0], probe))
-    levels = np.linspace(0.0, cdf[-1], n_sub + 1)
-    t = np.interp(levels, cdf, t_ref)
-    t[0], t[-1] = 0.0, span
-    t = np.maximum.accumulate(t)
-    if np.any(np.diff(t) <= 0):
-        t = span * _graded_mesh(n_sub, grading)
-    return t, _node_weights(t, mu)
+    tau = np.interp(np.linspace(0.0, cdf[-1], n_sub + 1), cdf, np.concatenate(([0.0], probe)))
+    tau[0], tau[-1] = 0.0, 1.0
+    w = _node_weights(tau, mu)
+    tau.flags.writeable = w.flags.writeable = False
+    return tau, w
 
 
 def _check_finite(vals: np.ndarray, what: str) -> None:
@@ -405,15 +408,15 @@ def _check_finite(vals: np.ndarray, what: str) -> None:
         raise NotSmoothEnough(f"{what} evaluated non-finite on the integration range")
 
 
-def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, span: float, config: QuadratureConfig,
-                   what: str) -> np.ndarray:
-    """The tail rule for an input with ``f(x - t) = f(x) * exp(-rate*t)``, as ``f(x) * (exp(-rate*t) @ w)``.
+def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, config: QuadratureConfig, what: str) -> np.ndarray:
+    """The tail integral of an input with ``f(x - t) = f(x) * exp(-rate*t)``, as ``f(x)`` times one quadrature sum.
 
-    Each row ``f(x_i - t_j)`` of the tail rule's node matrix is ``f(x_i)``
-    times the same ``exp(-rate*t_j)``, so one quadrature sum over the same
-    mesh and weights serves every point, and the input is evaluated only at the
-    points and at the envelope probe.  A value beyond float64, at a point
-    or in the product, raises ``NonConvergent``.
+    On the tail ``[0, span]``, ``span = 45/rate``, each row ``f(x_i - t_j)``
+    of the node matrix is ``f(x_i)`` times the same ``exp(-rate*t_j)``, so
+    every point is ``f(x) * span^mu * (exp(-45*tau) @ w) / Gamma(mu)`` on
+    ``_tail_weights``' unit rule, and the input is evaluated only at the
+    points.  A value beyond float64, at a point or in the product, raises
+    ``NonConvergent``.
     """
     too_high = f"{what} overflows float64 at the evaluation points"
     with np.errstate(over="ignore"):
@@ -421,9 +424,9 @@ def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, span: float, confi
     if np.any(np.isinf(fx)):
         raise NonConvergent(too_high)
     _check_finite(fx, what)
-    t, w = _tail_rule(values_fn, mu, x, span, config.subintervals, config.grading)
+    tau, w = _tail_weights(config.subintervals, mu)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = fx * (np.exp(-rate * t) @ w) * _rgamma(mu)
+        out = fx * (np.float64(_EXP_TAIL_FACTOR / rate) ** mu * (np.exp(-_EXP_TAIL_FACTOR * tau) @ w)) * _rgamma(mu)
     if not np.all(np.isfinite(out)):
         raise NonConvergent(too_high)
     return np.asarray(out, dtype=complex)
@@ -487,7 +490,7 @@ def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: Quadrature
     """
     far = x - hi > _FAR_SUPPORTS * (hi - lo)
     out = np.empty(x.shape, dtype=complex)
-    for part, tau, moments in ((~far, _graded_mesh(config.subintervals, config.grading), _near_moments),
+    for part, tau, moments in ((~far, _graded_mesh(config.subintervals), _near_moments),
                                (far, np.linspace(0.0, 1.0, config.subintervals + 1), _far_moments)):
         idx = np.flatnonzero(part)
         if not idx.size:
@@ -529,13 +532,12 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
                 raise NonConvergent("callable input needs a support for c = -inf: "
                                     "wrap it as CallableFn(fn, support=(lo, hi))")
             raise NonConvergent("input does not decay toward -inf; integral diverges")
-        span = _EXP_TAIL_FACTOR / fe.shift_rate
-        if span > 1.0 and (mu.real + 1.0) * math.log(span) - math.log(abs(mu)) >= _LOG_FLOAT_MAX:
-            # The kernel moments over the tail, up to span^(mu+1)/mu, overflow.
-            raise NonConvergent("tail integral overflows float64: the exponential's rate is too small")
+        if mu.real > _TAIL_ORDER_MAX:
+            raise NonConvergent(f"an exponential's integral from -inf below order {-_TAIL_ORDER_MAX:g} "
+                                "loses more than 1e-6 of its value at the tail cut 45/a")
         values = (lambda z: fe.derivative_values(z, n)) if n else fe.value
         what = f"derivative of order {n}" if n else "input"
-        return _factored_rule(values, fe.shift_rate, mu, x, span, config, what)
+        return _factored_rule(values, fe.shift_rate, mu, x, config, what)
 
     if c != MINUS_INF and np.any(x <= c if n else x < c):
         raise DomainOrder(f"evaluation point {'at or ' if n else ''}below the base point")
@@ -602,14 +604,16 @@ def rl_integral(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_
         FunctionSpec, SampledCurve, or callable.  From ``order.c = -inf`` an
         input with a support is integrated over it alone (a gaussian's is
         ``center +- 9 width``), and the exponential over ``45/a`` below each
-        point; a bare callable needs ``CallableFn(fn, support=(lo, hi))``,
-        and a power or a polynomial raises ``NonConvergent``.
+        point, which bounds its order at -17.5 (below it the cut loses more
+        than 1e-6 of the value and ``NonConvergent`` is raised); a bare
+        callable needs ``CallableFn(fn, support=(lo, hi))``, and a power or
+        a polynomial raises ``NonConvergent``.
     order:
         Order and base point; ``Re(order.nu) < 0`` is required.
     x:
         Scalar or array of evaluation points above the base point.
     config:
-        Mesh resolution and grading.
+        Mesh resolution.
 
     Returns
     -------
@@ -643,7 +647,7 @@ def _derivative_moment_path(fe, n: int, mu, x, lo, config, one_sided: bool = Fal
     integral itself.  The mesh is graded toward both ends, or with
     ``one_sided`` toward the kernel singularity ``y = x`` alone.
     """
-    tau, w = _unit_weights(config.subintervals, config.grading, mu, one_sided)
+    tau, w = _unit_weights(config.subintervals, mu, one_sided)
     sigma = 1.0 - tau
     sigma_pow = [np.power(sigma, n - k) for k in range(n + 1)]
     too_high = f"derivative of order {n} overflows float64 at the evaluation points"

@@ -491,7 +491,6 @@ class CallableFn:
     fn: Callable
     derivatives: tuple = ()
     support: tuple[float, float] | None = None
-    label_text: str = "callable"
 
     def __post_init__(self):
         if self.support is not None and not -np.inf < self.support[0] < self.support[1] < np.inf:
@@ -525,7 +524,7 @@ class CallableFn:
         return _SMOOTH
 
     def label(self) -> str:
-        return self.label_text
+        return "callable"
 
 
 def as_evaluable(f):

@@ -41,7 +41,8 @@ __all__ = [
 _ORDER_DIGITS = 12
 
 # Directions per dimension on the unit sphere for the ellipticity and bound
-# scans, and log-spaced shells in the bound scan up to its ceiling |lambda|.
+# scans, and log-spaced shells in the bound scan from |lambda| = 1 up to its
+# ceiling.
 _DIRECTIONS_PER_DIM = 64
 _SCAN_RADII = 192
 _SCAN_MAX = 1e4
@@ -470,11 +471,11 @@ def _ratio_objective(sym: FracSymbol, order: float, dir0: np.ndarray):
     return ratio
 
 
-def estimate_bounds(sym: FracSymbol, radius: float = 1.0) -> BoundsEstimate:
+def estimate_bounds(sym: FracSymbol) -> BoundsEstimate:
     """Sampled ellipticity constants outside the smallest viable radius.
 
     Scans ``|sigma(lambda)| / (1 + |lambda|^2)^(order/2)`` on log-spaced
-    shells from ``radius`` out to the ceiling ``|lambda| = 1e4`` (reported
+    shells from ``|lambda| = 1`` out to the ceiling ``1e4`` (reported
     as ``scan_max``) and returns the smallest scanned radius from which the
     infimum out to the ceiling stays positive, with that infimum and the
     matching supremum as the constants, nudged outward by 0.1% so that
@@ -483,13 +484,11 @@ def estimate_bounds(sym: FracSymbol, radius: float = 1.0) -> BoundsEstimate:
     scipy's bit for bit, so full-symbol zeros between shells push the
     radius outward instead of slipping through the sampling.
     """
-    if radius <= 0 or _SCAN_MAX <= radius:
-        raise ValueError(f"need 0 < radius < {_SCAN_MAX:g}, the scan ceiling")
     require_elliptic(sym)
     info = order_and_gap(sym)
     threshold = 1e-9 * sym.coefficient_scale()
     dirs = sphere_samples(sym.dim)
-    radii = np.logspace(math.log10(radius), math.log10(_SCAN_MAX), _SCAN_RADII)
+    radii = np.logspace(0.0, math.log10(_SCAN_MAX), _SCAN_RADII)
     lam = radii[:, None, None] * dirs[None, :, :]
     ratio = np.abs(symbol_eval(sym, lam)) / (1.0 + radii**2)[:, None] ** (info.order / 2.0)
     hi_logr = math.log(_SCAN_MAX)

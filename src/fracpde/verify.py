@@ -72,7 +72,7 @@ class VerifyConfig:
     work, and 512 per axis above one dimension.  ``quadrature`` drives
     every quadrature engine call; the refined checks (``cauchy_equiv``,
     ``schwartz_conv``) derive theirs from it with four times the
-    subintervals, keeping its grading.
+    subintervals.
     ``cutoff_radius`` is the parametrix cutoff of the gain experiment, and
     ``gain_tolerance_1d`` / ``gain_tolerance_2d`` the allowed
     ``|gain - order|`` on 1-D and on higher-dimensional rows.  The values
@@ -238,7 +238,7 @@ def _dipole() -> CallableFn:
             4.0 * (x + 1.0) ** 2 - 2.0
         ) * np.exp(-((x + 1.0) ** 2))
 
-    return CallableFn(f, derivatives=(d1, d2), support=(-8.0, 8.0), label_text="gaussian dipole")
+    return CallableFn(f, derivatives=(d1, d2), support=(-8.0, 8.0))
 
 
 @_check("fourier_lemma", 1e-4, ("product-integration quadrature", "fft multiplier"))

@@ -70,7 +70,7 @@ def experiment():
 
 
 def test_closed_form_oracle_agreement():
-    quad = QuadratureConfig(subintervals=2048, grading=2.0)
+    quad = QuadratureConfig(subintervals=2048)
     xs = np.array([0.5, 1.0, 2.0])
     orders = (-1.2, -0.5, -0.3, 0.3, 0.5, 1.2)
     worst = 0.0
@@ -102,7 +102,7 @@ def test_closed_form_oracle_agreement():
     ]
     envelope = []
     for n in sizes:
-        cfg = QuadratureConfig(subintervals=n, grading=2.0)
+        cfg = QuadratureConfig(subintervals=n)
         errs = [
             float(np.max(np.abs(
                 differint(f, o, xs, config=cfg) - closed_form_oracle(f, o, xs)
@@ -132,7 +132,7 @@ def test_cross_engine_agreement():
         via_quadrature = differint(f, order, axis[interior])
         worst_fourier = max(worst_fourier, float(np.max(np.abs(via_multiplier - via_quadrature))))
 
-    quad = QuadratureConfig(subintervals=8192, grading=2.0)
+    quad = QuadratureConfig(subintervals=8192)
     worst_hankel = 0.0
     for nu in (-0.4, 0.5, 1.3):
         order = DifferintOrder(nu, 0.0)
@@ -175,7 +175,7 @@ def test_symbol_classification_and_bounds():
     report = check_ellipticity(saddle)
     at_witness = abs(symbol_eval(principal_symbol(saddle), np.array(report.witness)))
 
-    est = estimate_bounds(FracSymbol(1, (SymbolTerm(1.0, (2.0,)),)), radius=1.0)
+    est = estimate_bounds(FracSymbol(1, (SymbolTerm(1.0, (2.0,)),)))
     # inf over |lambda| >= 1 of lambda^2 / (1 + lambda^2) is 1/2, at the edge.
     bound_ok = abs(est.lower - 0.5) <= 0.05 * 0.5
 

@@ -883,10 +883,10 @@ def test_stencil_step_is_not_set_by_a_point_at_the_support_start():
 
 class TestRealArithmetic:
     def test_real_order_gives_real_weights(self):
-        tau, w = fracops._unit_weights(64, 2.0, 0.5 + 0j)
+        tau, w = fracops._unit_weights(64, 0.5 + 0j)
         assert w.dtype == np.float64
         assert fracops._node_weights(np.outer([1.0, 2.0], tau), 0.5).dtype == np.float64
-        assert fracops._unit_weights(64, 2.0, 0.5 + 0.2j)[1].dtype == np.complex128
+        assert fracops._unit_weights(64, 0.5 + 0.2j)[1].dtype == np.complex128
 
     def test_complex_input_keeps_its_imaginary_part(self):
         # D^nu of i*y from base 0 is i * Gamma(2)/Gamma(2-nu) * x^(1-nu).
@@ -956,7 +956,7 @@ FACTORED_ENGINES = {"integral": rl_integral, "derivative": rl_derivative, "caput
 
 
 def _node_matrix_sum(f, nu, x):
-    """The tail rule from -inf as the (points x nodes) sum, on ``_tail_rule``'s own mesh and weights.
+    """The tail rule from -inf as the (points x nodes) sum, on ``_tail_weights``' mesh scaled by ``45/a``.
 
     A derivative and a Caputo derivative of order ``nu`` both integrate
     ``f^(n)`` with the kernel order ``n - nu``.
@@ -964,14 +964,9 @@ def _node_matrix_sum(f, nu, x):
     n = 0 if nu.real < 0 else math.floor(nu.real) + 1
     mu = fracops._real_if_real(n - nu)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    config = fracops.DEFAULT_QUADRATURE
-
-    def values(z):
-        return f.derivative_values(z, n)
-
-    t, w = fracops._tail_rule(values, mu, xs, fracops._EXP_TAIL_FACTOR / f.shift_rate,
-                              config.subintervals, config.grading)
-    return (values(xs[:, None] - t) @ w) * fracops._rgamma(mu)
+    tau, _ = fracops._tail_weights(fracops.DEFAULT_QUADRATURE.subintervals, mu)
+    t = fracops._EXP_TAIL_FACTOR / f.shift_rate * tau
+    return (f.derivative_values(xs[:, None] - t, n) @ fracops._node_weights(t, mu)) * fracops._rgamma(mu)
 
 
 class TestFactoredTail:
@@ -1002,10 +997,9 @@ class TestFactoredTail:
         f = _Counting(exponential(1.3))
         got = FACTORED_ENGINES[engine](f, DifferintOrder(nu, MINUS_INF), GRID_4096)
         assert np.all(np.isfinite(got))
-        # One evaluation at the points, plus the envelope probe of the tail
-        # mesh: 8 batch quantiles x 8192 probe points, each a 1-D array.
+        # One evaluation at the points, as a 1-D array; the tail mesh probes nothing.
         assert f.ndims == {1}
-        assert f.points == GRID_4096.size + 8 * 8192
+        assert f.points == GRID_4096.size
 
     @pytest.mark.parametrize("engine, rate, nu, x", [
         ("integral", 1.0, -0.5, 709.5),
@@ -1027,6 +1021,29 @@ class TestFactoredTail:
             got = rl_integral(exponential(1.0), order, 709.0)
         assert got.real == pytest.approx(closed_form_oracle(exponential(1.0), order, 709.0).real, rel=1e-6)
 
+    @pytest.mark.parametrize("engine, nu", [("integral", -1.3), ("derivative", 0.6), ("caputo", 1.3)])
+    def test_a_point_reads_the_same_alone_and_in_the_grid(self, engine, nu):
+        # The tail rule depends on the order and the subintervals alone, not on the batch.
+        f, order = exponential(1.3), DifferintOrder(nu, MINUS_INF)
+        grid = FACTORED_ENGINES[engine](f, order, GRID_4096)
+        alone = [FACTORED_ENGINES[engine](f, order, x) for x in GRID_4096[::16]]
+        assert np.array_equal(alone, grid[::16])
+
+    @pytest.mark.parametrize("nu", [-5.5, -10.5, -17.5, -20.5, -30.5, -40.5, -80.5])
+    @pytest.mark.parametrize("rate", [0.5, 2.0])
+    def test_high_integral_orders_are_accurate_or_nonconvergent(self, rate, nu):
+        # The cut at 45/a drops Q(-nu, 45) of the value: 1e-6 at nu = -17.52, 9e-3 at -30.5.
+        f, order, xs = exponential(rate), DifferintOrder(nu, MINUS_INF), np.array([-3.0, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if nu < -fracops._TAIL_ORDER_MAX:
+                with pytest.raises(NonConvergent, match="tail cut"):
+                    rl_integral(f, order, xs)
+                return
+            got = rl_integral(f, order, xs)
+        want = closed_form_oracle(f, order, xs)
+        assert np.all(np.abs(got - want) <= 1e-4 * np.abs(want))
+
     def test_nan_from_the_input_is_not_smooth_enough(self):
         class Holey(_Counting):
             def value(self, y):
@@ -1041,20 +1058,23 @@ class TestFactoredTail:
 class TestCaches:
     def test_weight_cache_is_bounded(self):
         for k in range(3 * fracops._CACHE_ENTRIES):
-            fracops._unit_weights(64, 2.0, 0.1 + 0.01 * k)
+            fracops._unit_weights(64, 0.1 + 0.01 * k)
+            fracops._tail_weights(64, 0.1 + 0.01 * k)
         assert fracops._mesh_weights.cache_info().currsize == fracops._CACHE_ENTRIES
+        assert fracops._tail_weights.cache_info().currsize == fracops._CACHE_ENTRIES
 
     def test_mesh_cache_is_bounded(self):
         for k in range(3 * fracops._CACHE_ENTRIES):
-            fracops._graded_mesh(64 + 2 * k, 2.0)
+            fracops._graded_mesh(64 + 2 * k)
         assert fracops._graded_mesh.cache_info().currsize == fracops._CACHE_ENTRIES
 
     def test_cached_arrays_are_read_only(self):
-        tau, w = fracops._unit_weights(64, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            w[0] = 1.0
-        with pytest.raises(ValueError):
-            tau[0] = 1.0
+        for rule in (fracops._unit_weights, fracops._tail_weights):
+            tau, w = rule(64, 0.5)
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+            with pytest.raises(ValueError):
+                tau[0] = 1.0
 
 
 # Inputs, orders and bases of the dispatch pin.  Together they reach every
@@ -1191,7 +1211,7 @@ class TestLatticeRule:
         def no_matrix(*args):
             raise AssertionError("the graded path ran")
 
-        for name in ("_tail_rule", "_shifted_rule", "_derivative_moment_path"):
+        for name in ("_factored_rule", "_shifted_rule", "_derivative_moment_path"):
             monkeypatch.setattr(fracops, name, no_matrix)
         counted = _Counting(f)
         got = self._curve(counted, nu)

@@ -13,7 +13,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "public_surface.py"
 # classes, as ``tools/public_surface.py`` counts them.  A new knob or name
 # means raising one of these on purpose.
 MAX_NAMES = 99
-MAX_SETTABLE = 45
+MAX_SETTABLE = 42
 
 
 def _surface():

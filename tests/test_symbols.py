@@ -175,25 +175,25 @@ class TestPointModulus:
 
 class TestBounds:
     def test_laplacian_constant_at_unit_radius(self):
-        est = estimate_bounds(LAPLACE_1D, radius=1.0)
+        est = estimate_bounds(LAPLACE_1D)
         assert est.lower == pytest.approx(0.5, rel=5e-3)
 
     def test_first_order_constant(self):
-        est = estimate_bounds(mono(1, 1.0), radius=1.0)
+        est = estimate_bounds(mono(1, 1.0))
         assert est.lower == pytest.approx(1 / math.sqrt(2), rel=5e-3)
 
     def test_low_order_term_fades(self):
         sym = FracSymbol(1, (SymbolTerm(1, (0.5,)), SymbolTerm(2, (0.0,))))
-        est = estimate_bounds(sym, radius=1.0)
+        est = estimate_bounds(sym)
         assert est.lower == pytest.approx(1.0, rel=0.05)
 
     def test_lower_never_exceeds_upper(self):
-        est = estimate_bounds(FRAC_LAP_2D, radius=2.0)
+        est = estimate_bounds(FRAC_LAP_2D)
         assert est.lower < est.upper
 
     def test_fresh_samples_respect_bounds(self):
         sym = FracSymbol(1, (SymbolTerm(1, (1.2,)), SymbolTerm(0.5, (0.3,))))
-        est = estimate_bounds(sym, radius=1.0)
+        est = estimate_bounds(sym)
         info = order_and_gap(sym)
         rng = np.random.default_rng(7)
         lam = np.exp(rng.uniform(0, math.log(1e4), 500))[:, None] * np.where(rng.random(500) < 0.5, 1, -1)[:, None]
@@ -205,7 +205,7 @@ class TestBounds:
         # lambda^2 - 100 vanishes at |lambda| = 10, between scan shells;
         # the polished scan must push the radius past it.
         sym = FracSymbol(1, (SymbolTerm(1, (2.0,)), SymbolTerm(-100.0, (0.0,))))
-        est = estimate_bounds(sym, radius=1.0)
+        est = estimate_bounds(sym)
         assert est.radius > 10.0
         lam = np.linspace(est.radius, 50.0, 2001)[:, None]
         ratio = np.abs(symbol_eval(sym, lam)) / (1 + lam[:, 0] ** 2)
@@ -219,11 +219,7 @@ class TestBounds:
         # Zero exactly at the last scanned shell, |lambda| = 1e4: no suffix is clean.
         sym = FracSymbol(1, (SymbolTerm(1, (2.0,)), SymbolTerm(-1e8, (0.0,))))
         with pytest.raises(NoRFound):
-            estimate_bounds(sym, radius=1.0)
-
-    def test_bad_scan_window(self):
-        with pytest.raises(ValueError):
-            estimate_bounds(LAPLACE_1D, radius=1e5)
+            estimate_bounds(sym)
 
 
 class TestProduct:

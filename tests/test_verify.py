@@ -146,8 +146,8 @@ class TestVerifyConfig:
             VerifyConfig(**{field: value})
 
     def test_refined_quadrature_keeps_grading_and_truncation(self):
-        quad = QuadratureConfig(subintervals=100, grading=1.5)
-        assert verify._refined(quad) == QuadratureConfig(400, 1.5)
+        quad = QuadratureConfig(subintervals=100)
+        assert verify._refined(quad) == QuadratureConfig(400)
 
 
 class TestCommutator:

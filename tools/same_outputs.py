@@ -8,7 +8,8 @@ repository).  Each command of ``COMMANDS`` runs as ``python -m fracpde`` with
 that tree's ``src`` on ``PYTHONPATH``, in one output directory per tree.
 Its stdout is kept as ``<name>.out`` next to the files it writes: the
 ``differint --grid`` CSVs of every kind and method, single points (among
-them a gaussian far above its support and a narrow one), ``identity_report.json``,
+them a gaussian far above its support, a narrow one and high integral
+orders of the exponential), ``identity_report.json``,
 the experiment CSV and its band files, the 2-D m=2048 and 3-D m=128
 ``solve`` fields and JSON, and ``sobolev --field`` with and without ``--s``.
 The paths of the output directory and of the tree are masked wherever
@@ -78,6 +79,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("differint-at-far-1e6.out", ["differint", "--func", "gaussian", "--nu", "-0.5", "--c", "0", "--at", "1e6"]),
     ("differint-at-far-1e308.out", ["differint", "--func", "gaussian", "--nu", "-0.5", "--c", "0", "--at", "1e308"]),
     ("differint-at-narrow-gaussian.out", ["differint", "--func", NARROW, "--nu", "0.5", "--c", "-inf", "--at", "0.1"]),
+    ("differint-at-exp--10.5.out", ["differint", "--func", "exp", "--nu", "-10.5", "--c", "-inf", "--at", "0"]),
+    ("differint-at-exp--30.5.out", ["differint", "--func", "exp", "--nu", "-30.5", "--c", "-inf", "--at", "0"]),
     ("verify.out", ["verify"]),
     ("experiment.out", ["experiment", "regularity"]),
     ("solve-2d.out", ["-n", "2", "-m", "2048", "-L", "40", "solve", "--op", FRAC_LAP_2D, "--forcing", STEP,
