@@ -28,9 +28,12 @@ other:
     ``hi`` see a smooth kernel and take the continued formula for ``D^nu``
     directly, on a mesh placed on the support so the input is evaluated
     once for all of them; a batch straddling the support end is split
-    between the two.  The meshes are graded as ``u^2``.  Only inputs
-    without usable closed-form derivatives on ``[base, x]`` fall back to
-    central finite differences of the integral.
+    between the two.  The meshes are graded as ``u^2``, and each rule is
+    extrapolated against its own even nodes (Richardson's ``h^2`` step),
+    which takes one cached weight vector and no new evaluation of the
+    input.  Only inputs without usable closed-form derivatives on
+    ``[base, x]`` fall back to central finite differences of the integral,
+    each point with its own step.
     The (points x nodes) integrand matrices are built and reduced in row
     blocks of bounded size, in float64 when the order and the input are
     real, so memory does not grow with the batch.  From a base at -inf the
@@ -39,8 +42,9 @@ other:
     there, and so are its derivatives; the input names ``a`` as
     ``shift_rate``).  Its tail mesh is rigid in ``t = x - y`` and cut at
     ``45/a``, and it forms no matrix: every row is ``f(x_i)`` times the same
-    ``exp(-a*t_j)``.  In units of ``45/a`` that mesh and its weights depend
-    only on ``subintervals`` and the order, so one cached rule and one
+    ``exp(-a*t_j)``.  In units of ``45/a`` that mesh and its weights (at a
+    real order extrapolated as above) depend only on ``subintervals`` and
+    the order, so one cached rule and one
     quadrature sum, scaled by the values at the points, give every point,
     and a point's value does not depend on the rest of the batch.  The cut
     drops the share ``Q(-nu, 45)`` of the integral, so an order below -17.5
@@ -274,13 +278,17 @@ class DifferintOrder:
 class QuadratureConfig:
     """Product-integration controls.
 
-    ``subintervals`` linear pieces on each mesh.  The mesh shapes are not
-    settings: the product-integration meshes are graded as ``u^2`` toward
-    both ends of the integration range (the kernel singularity ``y -> x``
-    and the base point), and the exponential's tail equidistributes its own
-    integrand.  Nor is the cut of a base at ``-inf``: an input is
-    integrated over its support (a gaussian's is ``center +- 9 width``),
-    and the exponential over ``45/a`` below each point.
+    ``subintervals`` linear pieces on each mesh, rounded up to even: every
+    product-integration rule is extrapolated against the rule on its even
+    nodes, which cancels its ``h^2`` error term (a unit gaussian from -inf
+    reads within 5e-11 of the peak of mpmath's values at the default 2048,
+    4e-7 to 7e-7 without the step).  The mesh shapes are not settings: the
+    product-integration meshes are graded as ``u^2`` toward both ends of
+    the integration range (the kernel singularity ``y -> x`` and the base
+    point), and the exponential's tail equidistributes its own integrand.
+    Nor is the cut of a base at ``-inf``: an input is integrated over its
+    support (a gaussian's is ``center +- 9 width``), and the exponential
+    over ``45/a`` below each point.
     """
 
     subintervals: int = 2048
@@ -365,6 +373,20 @@ def _node_weights(t: np.ndarray, mu: complex) -> np.ndarray:
     return w
 
 
+def _extrapolated_weights(tau: np.ndarray, mu: complex | float) -> np.ndarray:
+    """``_node_weights`` on ``tau`` (an even piece count) with Richardson's ``h^2`` extrapolation.
+
+    On a smooth map of a uniform mesh the rule's error is ``C h^2`` plus
+    higher powers (Lyness and Ninham, Math. Comp. 21, 1967), and the even
+    nodes ``tau[::2]`` are that map at twice the step, so
+    ``(4 w_N - w_(N/2)) / 3``, with ``w_(N/2)`` placed on the even nodes,
+    cancels the ``h^2`` term without evaluating the input anywhere new.
+    """
+    w = 4.0 * _node_weights(tau, mu)
+    w[::2] -= _node_weights(tau[::2], mu)
+    return w / 3.0
+
+
 def _unit_weights(n_sub: int, mu: complex, one_sided: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Read-only graded mesh on [0, 1] and its weights for kernel order ``mu``."""
     return _graded_mesh(n_sub, one_sided), _mesh_weights(n_sub, _real_if_real(mu), one_sided)
@@ -372,7 +394,7 @@ def _unit_weights(n_sub: int, mu: complex, one_sided: bool = False) -> tuple[np.
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _mesh_weights(n_sub: int, mu: complex | float, one_sided: bool) -> np.ndarray:
-    w = _node_weights(_graded_mesh(n_sub, one_sided), mu)
+    w = _extrapolated_weights(_graded_mesh(n_sub, one_sided), mu)
     w.flags.writeable = False
     return w
 
@@ -388,7 +410,15 @@ def _tail_weights(n_sub: int, mu: complex | float) -> tuple[np.ndarray, np.ndarr
     integrated on 8192 probe points clustered at 0, so the kernel exponent
     grades the mesh at ``tau = 0``.  On ``t`` in ``[0, span]`` the rule is
     these nodes times ``span`` and these weights times ``span^mu``.
+
+    ``n_sub`` is rounded up to even.  The nodes are a smooth map of a
+    uniform mesh, so at a real order the weights take the same even-node
+    extrapolation as the graded meshes.  A complex order keeps the plain
+    weights: there the extrapolation gains up to ``|Im mu| = 2`` and loses
+    beyond (the exponential's ``D^(0.5+10i)`` would miss ``a^nu e^(ax)`` by
+    1.4e-3 relative, against 3.1e-4).
     """
+    n_sub += n_sub % 2
     m_fine = 8192
     probe = (np.arange(1, m_fine + 1) / m_fine) ** 3
     e = (mu.real - 1.0) / 3.0
@@ -398,7 +428,7 @@ def _tail_weights(n_sub: int, mu: complex | float) -> tuple[np.ndarray, np.ndarr
         ([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(probe))))))
     tau = np.interp(np.linspace(0.0, cdf[-1], n_sub + 1), cdf, np.concatenate(([0.0], probe)))
     tau[0], tau[-1] = 0.0, 1.0
-    w = _node_weights(tau, mu)
+    w = _node_weights(tau, mu) if isinstance(mu, complex) else _extrapolated_weights(tau, mu)
     tau.flags.writeable = w.flags.writeable = False
     return tau, w
 
@@ -426,7 +456,7 @@ def _factored_rule(values_fn, rate: float, mu, x: np.ndarray, config: Quadrature
     _check_finite(fx, what)
     tau, w = _tail_weights(config.subintervals, mu)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = fx * (np.float64(_EXP_TAIL_FACTOR / rate) ** mu * (np.exp(-_EXP_TAIL_FACTOR * tau) @ w)) * _rgamma(mu)
+        out = fx * (np.float64(_EXP_TAIL_FACTOR / rate) ** mu * (np.exp(-_EXP_TAIL_FACTOR * tau) @ w) * _rgamma(mu))
     if not np.all(np.isfinite(out)):
         raise NonConvergent(too_high)
     return np.asarray(out, dtype=complex)
@@ -482,16 +512,21 @@ def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: Quadrature
     toward both support ends and the moments are differences of ``t^mu``
     and ``t^(mu+1)`` at the piece ends.  Farther out the kernel is nearly
     constant over the support, so the mesh is uniform (on a unit gaussian
-    the rule is then within 4e-10 relative of mpmath where the graded mesh
-    reads 2.3e-6), and those differences would cancel (by x = 1e8 they are
-    16% off, and above 1e16 ``x - y`` rounds to ``x``), so ``_far_moments``
-    forms the moments from the mesh steps ``y_k - y_(k+1)``.  A value that
-    is not finite, with ``1/Gamma(mu)`` or without, raises ``NonConvergent``.
+    the rule is then within 1.1e-15 relative of mpmath at x = 1e4, where
+    the graded mesh reads 1.4e-10 at x = 30 and 100), and those differences
+    would cancel (by x = 1e8 they are 16% off, and above 1e16 ``x - y``
+    rounds to ``x``), so ``_far_moments`` forms the moments from the mesh
+    steps ``y_k - y_(k+1)``.  Both meshes have an even piece count, and
+    the rule on their even nodes enters as values and slopes written onto
+    the fine pieces, so extrapolating it changes the two vectors that every
+    row shares and no row's work.  A value that is not finite, with
+    ``1/Gamma(mu)`` or without, raises ``NonConvergent``.
     """
     far = x - hi > _FAR_SUPPORTS * (hi - lo)
     out = np.empty(x.shape, dtype=complex)
-    for part, tau, moments in ((~far, _graded_mesh(config.subintervals), _near_moments),
-                               (far, np.linspace(0.0, 1.0, config.subintervals + 1), _far_moments)):
+    graded = _graded_mesh(config.subintervals)
+    for part, tau, moments in ((~far, graded, _near_moments),
+                               (far, np.linspace(0.0, 1.0, graded.size), _far_moments)):
         idx = np.flatnonzero(part)
         if not idx.size:
             continue
@@ -500,7 +535,12 @@ def _shifted_rule(f, x: np.ndarray, lo: float, hi: float, mu, config: Quadrature
         fv = np.asarray(f.value(y))
         _check_finite(fv, "input")
         step = y[:-1] - y[1:]
-        fk, gk = fv[:-1], np.diff(fv) / step
+        # The rule on the even nodes, as values a and slopes b on the fine
+        # pieces, extrapolated as in ``_extrapolated_weights``.
+        b = np.repeat((fv[2::2] - fv[:-2:2]) / (y[:-2:2] - y[2::2]), 2)
+        a = np.repeat(fv[:-2:2], 2)
+        a[1::2] += b[1::2] * step[::2]
+        fk, gk = (4.0 * fv[:-1] - a) / 3.0, (4.0 * np.diff(fv) / step - b) / 3.0
         with np.errstate(over="ignore", invalid="ignore"):  # a row beyond float64 is reported below
             for rows in _row_blocks(idx.size, y.size):
                 m0, m1 = moments(x[idx[rows], None], y, step, mu)
@@ -580,7 +620,8 @@ def _rl_values(fe, nu: complex, c: float, n: int, x: np.ndarray, config: Quadrat
         except NotSmoothEnough:
             if not n:
                 raise
-            scale = min(0.5 * (support[1] - lo), float(np.min(xi)) - c) if flat else float(np.min(xi - lo))
+            # Each point's stencil step is its own, so the batch does not move it.
+            scale = np.minimum(0.5 * (support[1] - lo), xi - c) if flat else xi - lo
             res[inside] = _stencil_path(fe, nu, n, c, xi, scale, config)
     out[live] = res
     return out
@@ -701,14 +742,17 @@ def _fornberg(order_d: int, nodes: np.ndarray) -> np.ndarray:
     return c[:, order_d]
 
 
-def _stencil_path(fe, nu: complex, n: int, c: float, pts: np.ndarray, scale: float,
+def _stencil_path(fe, nu: complex, n: int, c: float, pts: np.ndarray, scale: np.ndarray,
                   config: QuadratureConfig) -> np.ndarray:
-    """Central differences of the order ``nu - n`` integral; step set from the mesh scale."""
+    """Central differences of the order ``nu - n`` integral; each point's step set from its own mesh ``scale``.
+
+    The weights for the offsets ``u*h`` are those for ``u`` over ``h^n``.
+    """
     h = 0.5 * scale * config.subintervals ** (-2.0 / (n + 2))
-    offsets = (np.arange(n + 2) - (n + 1) / 2.0) * h
-    shifted = pts[:, None] + offsets[None, :]
+    u = np.arange(n + 2) - (n + 1) / 2.0
+    shifted = pts[:, None] + h[:, None] * u
     ivals = _rl_values(fe, nu - n, c, 0, shifted.ravel(), config).reshape(shifted.shape)
-    return ivals @ _fornberg(n, offsets)
+    return (ivals @ _fornberg(n, u)) / h**n
 
 
 def caputo_derivative(f, order: DifferintOrder, x, config: QuadratureConfig = DEFAULT_QUADRATURE):

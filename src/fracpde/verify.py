@@ -11,7 +11,6 @@ fixed, and all sampling in the symbol machinery is seeded.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
@@ -70,9 +69,7 @@ class VerifyConfig:
 
     ``grid_m`` samples per axis on a box of side ``grid_length`` for 1-D
     work, and 512 per axis above one dimension.  ``quadrature`` drives
-    every quadrature engine call; the refined checks (``cauchy_equiv``,
-    ``schwartz_conv``) derive theirs from it with four times the
-    subintervals.
+    every quadrature engine call.
     ``cutoff_radius`` is the parametrix cutoff of the gain experiment, and
     ``gain_tolerance_1d`` / ``gain_tolerance_2d`` the allowed
     ``|gain - order|`` on 1-D and on higher-dimensional rows.  The values
@@ -120,11 +117,6 @@ class CheckResult:
 def _power_rule(p: float, nu: complex, x) -> np.ndarray:
     """Closed-form D^nu x^p at base 0, the oracle both series checks lean on."""
     return closed_form_oracle(power(p), DifferintOrder(nu, 0.0), np.asarray(x, dtype=float))
-
-
-def _refined(quad: QuadratureConfig) -> QuadratureConfig:
-    """``quad`` with four times the subintervals, for checks that run both engines refined."""
-    return dataclasses.replace(quad, subintervals=4 * quad.subintervals)
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -254,18 +246,18 @@ def _check_fourier_lemma(config: VerifyConfig) -> tuple:
     quad = config.quadrature
     errs = []
     for nu in (0.0, -0.5, 0.5, 1.5):
-        via_quad = differint(f, DifferintOrder(nu, -math.inf), xs, config=quad)
-        via_mult = fourier_differint(curve, nu).values
-        errs.append(np.abs(via_quad - via_mult)[interior])
+        via_quad = differint(f, DifferintOrder(nu, -math.inf), xs[interior], config=quad)
+        via_mult = fourier_differint(curve, nu).values[interior]
+        errs.append(np.abs(via_quad - via_mult))
     return np.concatenate(errs), dict(orders=[0.0, -0.5, 0.5, 1.5], grid_m=grid.m, grid_length=grid.length)
 
 
 @_check("cauchy_equiv", 1e-6, ("keyhole contour integral", "product-integration quadrature"))
 def _check_cauchy_equiv(config: VerifyConfig) -> tuple:
     # The loop integral and the real-line definition agree wherever the
-    # integrand is analytic around the base interval.  Both engines run
-    # refined here so their own discretization stays far below tolerance.
-    quad = _refined(config.quadrature)
+    # integrand is analytic around the base interval.  The loop runs
+    # refined so its own discretization stays far below tolerance.
+    quad = config.quadrature
     g = gaussian(0.0, 1.0)
     errs = []
     for nu in (-0.4, 0.5, 1.3):
@@ -306,10 +298,8 @@ def _check_schwartz_conv(config: VerifyConfig) -> tuple:
     # convolutions are numpy's linear (zero-padded) ones, not periodic: the
     # derivative tails decay only algebraically, and wrapping them around the
     # box would swamp the tolerance, while in the interior the gaussian
-    # factor annihilates whatever the truncation discards.  The multiplier's
-    # pad of 1024 no longer buys accuracy, since the engine subtracts its
-    # wrapped tail at every pad; it stays only until the verify benchmark's
-    # round count stops hinging on this check's time (ROADMAP direction 1).
+    # factor annihilates whatever the truncation discards.  The multiplier
+    # runs at its default pad, which subtracts the wrapped tail of its kernel.
     grid = BoxGrid(1, config.grid_m // 2, config.grid_length)
     xs = grid.axis()
     f, g = gaussian(0.0, 1.0), gaussian(0.5, 0.8)
@@ -317,12 +307,12 @@ def _check_schwartz_conv(config: VerifyConfig) -> tuple:
     g_vals = g.value(xs)
     curve = SampledCurve(float(xs[0]), grid.dx, g_vals)
     interior = np.abs(xs) <= grid.length / 4.0
-    quad = _refined(config.quadrature)
+    quad = config.quadrature
 
     errs = []
     for nu in (0.4, 0.5, 1.5):
         df = rl_derivative(f, DifferintOrder(nu, -math.inf), xs, config=quad)
-        dg = fourier_differint(curve, nu, pad_factor=1024).values
+        dg = fourier_differint(curve, nu).values
         side_a = np.convolve(df, g_vals, "same") * grid.dx
         side_b = np.convolve(f_vals, dg, "same") * grid.dx
         errs.append(np.abs(side_a - side_b)[interior])

@@ -223,7 +223,7 @@ class TestDifferint:
         assert captured.err.startswith("NonConvergent: ") and "Warning" not in captured.err
 
     @pytest.mark.parametrize("args", [
-        ["--nu", "-0.5", "--at", "709.5"],
+        ["--nu", "-0.5", "--at", "710"],
         ["--nu", "0.5", "--at", "800"],
         ["--nu", "0.5", "--at", "800", "--method", "caputo"],
     ], ids=["integral", "derivative", "caputo"])

@@ -927,6 +927,21 @@ class TestMixedSupport:
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("c, near", [(0.0, 1e-6), (-8.0, -8.0 + 1e-6), (MINUS_INF, -8.0 + 1e-6)],
+                         ids=["base", "base-at-support", "support-start"])
+@pytest.mark.parametrize("nu", [0.5, 1.3])
+def test_stencil_step_is_set_per_point(c, near, nu):
+    # Without closed-form derivatives the derivative is a stencil of the integral, whose
+    # step scales with each point's own distance to the base, not the batch's nearest
+    # (which moved these values by 4e-6 to 86 relative).  What is left is the rounding of
+    # the row blocks, divided by the stencil's h^n: 4.9e-12 measured.
+    f = CallableFn(lambda y: np.exp(-y * y), support=(-8.0, 8.0))
+    order, xs = DifferintOrder(nu, c), np.array([0.5, 1.0, 3.0])
+    alone = np.array([rl_derivative(f, order, x) for x in xs])
+    beside = rl_derivative(f, order, np.append(xs, near))[:-1]
+    assert np.all(np.abs(beside - alone) <= 1e-10 * np.abs(alone))
+
+
 def _within_the_multiplier(f, nu):
     """``differint`` from -inf on the 4096-point box against the multiplier, relative to the interior peak."""
     got = differint(f, DifferintOrder(nu, MINUS_INF), GRID_4096)
@@ -952,6 +967,49 @@ class TestNarrowInputs:
         assert _within_the_multiplier(pair, nu) <= 1e-5
 
 
+class TestExtrapolatedRuleAgainstMpmath:
+    """The graded and support meshes with the even-node extrapolation, at the default 2048 subintervals.
+
+    Each bound is about 3-4 times the largest error measured when it was
+    set; the plain rule read 4e-7 to 3e-5 on the same cases.
+    """
+
+    XS = np.array([-1.0, 0.0, 0.5, 2.0, 5.0, 9.5, 12.0])  # 9.5 and 12 lie above the support +-9
+
+    @pytest.mark.parametrize("nu, bound", [
+        (-0.5, 2e-10), (0.4, 2e-10), (1.5, 2e-10),  # 4.5e-11 measured
+        (0.7 + 0.4j, 6e-9), (-0.5 + 2j, 6e-9), (0.5 + 10j, 6e-9),  # 1.6e-9 measured, at 0.5+10i
+    ])
+    def test_gaussian_from_minus_inf(self, nu, bound):
+        got = differint(gaussian(0.0, 1.0), DifferintOrder(nu, MINUS_INF), self.XS)
+        with mpmath.workdps(20):
+            want = np.array([complex(_mp_gaussian(x, nu, 0, 1)) for x in self.XS])
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [0.5, 0.3 + 0.2j])
+    @pytest.mark.parametrize("nu", [-1.2, -0.5, 0.5, 1.3, 0.7 + 0.4j, -0.5 + 2j])
+    def test_power_from_zero(self, p, nu):
+        # 1.4e-13 measured for p = 0.5 and 9.6e-10 for 0.3+0.2i, whose branch point leaves an h^(2p+2) term.
+        xs = np.array([0.3, 1.0, 2.5])
+        got = differint(power(p), DifferintOrder(nu, 0.0), xs)
+        with mpmath.workdps(20):
+            want = np.array([complex(mpmath.gamma(p + 1) * mpmath.rgamma(p + 1 - nu) * mpmath.mpf(x) ** (p - nu))
+                             for x in xs])
+        assert np.all(np.abs(got - want) <= 3e-9 * np.abs(want))
+
+    @pytest.mark.parametrize("x", [2.5, 4.0, 30.0, 100.0])  # the graded support mesh, then the uniform one
+    def test_sampled_curve_above_its_support(self, x):
+        # 4.7e-8 measured; the plain rule read 2.9e-7.
+        vals = np.cos(np.linspace(-1.0, 2.0, 13))
+        got = rl_integral(SampledCurve(-1.0, 0.25, vals), DifferintOrder(-0.5, MINUS_INF), x)
+        with mpmath.workdps(20):
+            nodes = [mpmath.mpf(k) / 4 - 1 for k in range(13)]
+            pieces = [mpmath.quad(lambda y: (x - y) ** -0.5 * ((nodes[k + 1] - y) * vals[k] + (y - nodes[k]) * vals[k + 1])
+                                  * 4, [nodes[k], nodes[k + 1]]) for k in range(12)]
+            want = complex(mpmath.fsum(pieces) * mpmath.rgamma(0.5))
+        assert abs(got - want) <= 1.5e-7 * abs(want)
+
+
 FACTORED_ENGINES = {"integral": rl_integral, "derivative": rl_derivative, "caputo": caputo_derivative}
 
 
@@ -966,7 +1024,9 @@ def _node_matrix_sum(f, nu, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     tau, _ = fracops._tail_weights(fracops.DEFAULT_QUADRATURE.subintervals, mu)
     t = fracops._EXP_TAIL_FACTOR / f.shift_rate * tau
-    return (f.derivative_values(xs[:, None] - t, n) @ fracops._node_weights(t, mu)) * fracops._rgamma(mu)
+    # A real order takes the even-node extrapolation, a complex one the plain weights.
+    w = fracops._node_weights(t, mu) if isinstance(mu, complex) else fracops._extrapolated_weights(t, mu)
+    return (f.derivative_values(xs[:, None] - t, n) @ w) * fracops._rgamma(mu)
 
 
 class TestFactoredTail:
@@ -1002,17 +1062,26 @@ class TestFactoredTail:
         assert f.points == GRID_4096.size
 
     @pytest.mark.parametrize("engine, rate, nu, x", [
-        ("integral", 1.0, -0.5, 709.5),
         ("derivative", 1.0, 0.5, 800.0),
         ("caputo", 1.0, 0.5, 800.0),
         ("derivative", 2.0, 1100.5, 0.0),  # rate**n beyond float64
-        ("integral", 1.0, -0.5, [0.0, 1.0, 709.5]),  # only the last point
     ])
     def test_overflow_at_a_point_is_nonconvergent(self, engine, rate, nu, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergent, match="overflows float64"):
                 FACTORED_ENGINES[engine](exponential(rate), DifferintOrder(nu, MINUS_INF), x)
+
+    @pytest.mark.parametrize("x", [709.5, [0.0, 1.0, 709.5]], ids=["709.5", "batch"])
+    def test_values_near_the_float64_limit_are_kept(self, x):
+        # e^709.5 = 1.35e308 is representable, though e^709.5 * Gamma(0.5) is not: the
+        # scalar factors are multiplied before the values at the points.
+        order = DifferintOrder(-0.5, MINUS_INF)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rl_integral(exponential(1.0), order, x)
+        want = closed_form_oracle(exponential(1.0), order, x)
+        assert np.all(np.abs(got - want) <= 3e-9 * np.abs(want))  # 6.6e-10 measured
 
     def test_largest_finite_value_is_kept(self):
         order = DifferintOrder(-0.5, MINUS_INF)
@@ -1099,14 +1168,14 @@ PIN_ENGINES = (
 # One digest per input, so a path that moves shows which inputs it moved;
 # CHANGES.md records why a digest was re-taken and how far its values moved.
 PIN_DIGESTS = {
-    "power-half": "28ff23b4e6970707ff79f6986f5945870b02fdccf2fe945ce57052f6235e68c1",
-    "power-complex": "a9634dda0b4773c3992baf1635e39a1a869b9669a13534053fae0c3033c1e28c",
-    "polynomial": "431d64caee6e422777879acf44a9a4a4b4d31db905eaf6ec26847d55ab7f0553",
-    "gaussian": "b06c22af5487cbdcac886a53bf79c6d00e0d60ad64fa808373fb0c321bb8bd7b",
-    "bump": "c3b3e7a380901448eaafe4a5fb8910ad003c23f62994da98a74bef92ec42577e",
-    "step": "bddc32ecd94fbd5506b7a074f402c7fb7548f30108678194d508c6bd3d3644a2",
-    "sampled": "8e7f5a07dbe59bfa6260ae12794636d2ca96dd8a7020128478efa7c2df945d06",
-    "callable": "27f1e135eaade492f79760a1ada51cfde636496beebf8f331ca0ec47da5e0b8d",
+    "power-half": "271a34265a954a910b7d2ba5bd48b05ccf0deb0e1dedb19ac986b8945522d0bb",
+    "power-complex": "d607ed76001cbd8ea37e71fcff0362d283b530ad6b59c505befc3266ee949382",
+    "polynomial": "b4a5d99a9fd5a0b31d58a61e118ab94cb1d4d8823ef4e2cace868ea20920f0ff",
+    "gaussian": "e616e73b16f54d31118aedbabb45025bb2dfc4bcbfddcdef4c6b97c0ded293aa",
+    "bump": "0c8ac80c27553a4dd57cdae341ab8ed30779e0e08d77aa07d8ecae6a63c64be0",
+    "step": "5c8c1248b411c787b79ad0bc6cb516bf53589496f2aa450447596ef1e04024c6",
+    "sampled": "4b1efead908b1942d04ee00ead8017da3dc2a761d2ae60ba65e806a9af4fcdb8",
+    "callable": "229af7fd0eb0b621384641595c91b28ec60c13c52a95d7535d661cac268ca5be",
 }
 
 

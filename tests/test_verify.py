@@ -145,10 +145,6 @@ class TestVerifyConfig:
         with pytest.raises(ValueError, match=message):
             VerifyConfig(**{field: value})
 
-    def test_refined_quadrature_keeps_grading_and_truncation(self):
-        quad = QuadratureConfig(subintervals=100)
-        assert verify._refined(quad) == QuadratureConfig(400)
-
 
 class TestCommutator:
     def test_alpha_zero_commutes_exactly(self):
