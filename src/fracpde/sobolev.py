@@ -172,7 +172,10 @@ def shell_spectrum(u) -> ShellSpectrum:
         np.square(np.abs(spec[np.ix_(idx[rows], *[idx] * (g.dim - 1))]), out=power[rows])
         return np.bincount(band.ravel(), minlength=n_bands + 1)
 
-    counts = np.sum(_by_rows(bin_rows, box_shape), axis=0)[:n_bands]
+    # The pool is chosen by the grid's size, not the box's: the 95^3 box of a
+    # 128^3 grid holds 857 375 values, below the threshold, and bins in about
+    # 23 ms on one thread against 13-16 ms on the pool of two.
+    counts = np.sum(_by_rows(bin_rows, box_shape, math.prod(g.shape())), axis=0)[:n_bands]
     sums = np.bincount(which.ravel(), weights=power.ravel(), minlength=n_bands + 1)[:n_bands] * scale
     keep = counts > 0
     if keep.sum() < 4:

@@ -284,19 +284,21 @@ if hasattr(os, "register_at_fork"):  # Windows has no fork()
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _by_rows(task, shape: tuple[int, ...]) -> list:
+def _by_rows(task, shape: tuple[int, ...], grid_values: int | None = None) -> list:
     """``[task(rows) for rows in blocks]`` over blocks of about ``_BLOCK_VALUES`` values: rows of axis 0.
 
     Each task writes only its own rows of preallocated outputs, keeps its
     temporaries within its block and calls numpy alone, so the blocks may
-    run in any order.  A pass over at least ``_THREADED_VALUES`` values runs
-    them on the worker pool, in a copy of the caller's context so that
+    run in any order.  A pass over at least ``_THREADED_VALUES`` values (or
+    on a grid of ``grid_values`` at least that many, where given) runs them
+    on the worker pool, in a copy of the caller's context so that
     ``np.errstate`` holds there too; results come back in block order once
     every block has run.
     """
     step = max(1, _BLOCK_VALUES * shape[0] // math.prod(shape))
     blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-    workers = _workers() if math.prod(shape) >= _THREADED_VALUES else None
+    size = math.prod(shape) if grid_values is None else grid_values
+    workers = _workers() if size >= _THREADED_VALUES else None
     if workers is None:
         return [task(rows) for rows in blocks]
     from concurrent.futures import wait

@@ -25,6 +25,7 @@ from .fracops import (
     DEFAULT_QUADRATURE,
     DifferintOrder,
     QuadratureConfig,
+    _differint_orders,
     caputo_derivative,
     closed_form_oracle,
     differint,
@@ -243,13 +244,13 @@ def _check_fourier_lemma(config: VerifyConfig) -> tuple:
     f = _dipole()
     interior = np.abs(xs) <= grid.length / 4.0
     curve = SampledCurve(float(xs[0]), grid.dx, f.value(xs))
-    quad = config.quadrature
+    orders = (0.0, -0.5, 0.5, 1.5)
     errs = []
-    for nu in (0.0, -0.5, 0.5, 1.5):
-        via_quad = differint(f, DifferintOrder(nu, -math.inf), xs[interior], config=quad)
+    # One quadrature call for every order: they share the dipole's evaluations.
+    for nu, via_quad in zip(orders, _differint_orders(f, orders, -math.inf, xs[interior], config.quadrature)):
         via_mult = fourier_differint(curve, nu).values[interior]
         errs.append(np.abs(via_quad - via_mult))
-    return np.concatenate(errs), dict(orders=[0.0, -0.5, 0.5, 1.5], grid_m=grid.m, grid_length=grid.length)
+    return np.concatenate(errs), dict(orders=list(orders), grid_m=grid.m, grid_length=grid.length)
 
 
 @_check("cauchy_equiv", 1e-6, ("keyhole contour integral", "product-integration quadrature"))
@@ -307,16 +308,15 @@ def _check_schwartz_conv(config: VerifyConfig) -> tuple:
     g_vals = g.value(xs)
     curve = SampledCurve(float(xs[0]), grid.dx, g_vals)
     interior = np.abs(xs) <= grid.length / 4.0
-    quad = config.quadrature
+    orders = (0.4, 0.5, 1.5)
 
     errs = []
-    for nu in (0.4, 0.5, 1.5):
-        df = rl_derivative(f, DifferintOrder(nu, -math.inf), xs, config=quad)
+    for nu, df in zip(orders, _differint_orders(f, orders, -math.inf, xs, config.quadrature)):
         dg = fourier_differint(curve, nu).values
         side_a = np.convolve(df, g_vals, "same") * grid.dx
         side_b = np.convolve(f_vals, dg, "same") * grid.dx
         errs.append(np.abs(side_a - side_b)[interior])
-    return np.concatenate(errs), dict(orders=[0.4, 0.5, 1.5], grid_m=grid.m, grid_length=grid.length)
+    return np.concatenate(errs), dict(orders=list(orders), grid_m=grid.m, grid_length=grid.length)
 
 
 @_check("parametrix_identity", 1e-13, ("symbol evaluation on the grid", "cutoff inverse construction"))

@@ -804,6 +804,22 @@ class TestThreadedPasses:
         with pytest.raises(AssertionError, match="worker pool requested"):
             transform(sample_separable(BoxGrid(2, 1024, 40.0), gaussian(0.0, 1.0).value))
 
+    def test_shell_binning_takes_the_pool_by_its_grid_size(self, monkeypatch):
+        # The 95^3 box that a 128^3 grid bins holds 857 375 values, below _THREADED_VALUES;
+        # its grid does not, so the binning asks for the pool and bins bit for bit as one thread does.
+        from fracpde.sobolev import shell_spectrum
+
+        spec = transform(sample_separable(BoxGrid(3, 128, 20.0), bump(0.1, 2.0).value))
+        asked = []
+        workers = spectral._workers
+        monkeypatch.setattr(spectral, "_workers", lambda: asked.append(1) or workers())
+        pooled = shell_spectrum(spec)
+        assert asked
+        monkeypatch.setattr(spectral, "_THREADED_VALUES", 1 << 62)
+        alone = shell_spectrum(spec)
+        for a, b in ((pooled.energy, alone.energy), (pooled.counts, alone.counts)):
+            assert np.array_equal(_bits(a), _bits(b))
+
     def test_every_block_runs_once_on_more_threads_than_cpus(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
